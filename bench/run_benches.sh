@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Runs the tracked benchmark suites and drops their machine-readable
 # results (BENCH_exec.json, BENCH_gc.json, BENCH_serve.json,
-# BENCH_scaling.json) at the
+# BENCH_scaling.json, BENCH_pipeline.json) at the
 # repository root so the perf trajectory is comparable across checkouts.
 # Every emitted BENCH_*.json is validated with bench_json_check; a bench
 # that emits invalid (or no) JSON fails the run loudly.
@@ -26,7 +26,8 @@ REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR=${1:-"$REPO_ROOT/build"}
 BENCH_DIR="$BUILD_DIR/bench"
 
-for BIN in bench_exec bench_gc bench_serve bench_scaling bench_json_check; do
+for BIN in bench_exec bench_gc bench_serve bench_scaling bench_pipeline \
+           bench_json_check; do
   if [ ! -x "$BENCH_DIR/$BIN" ]; then
     echo "error: $BENCH_DIR/$BIN not found or not executable." >&2
     echo "Build it with: cmake --build \"$BUILD_DIR\" --target $BIN" >&2
@@ -81,6 +82,12 @@ echo "== bench_serve (distribution layer) =="
 check_json serve
 
 echo
+echo "== bench_pipeline (per-stage toolchain timings, BM_Optimize included) =="
+# shellcheck disable=SC2086
+"$BENCH_DIR/bench_pipeline" $GBENCH_ARGS
+check_json pipeline BM_Optimize
+
+echo
 echo "== safetsa-gen (fixed-seed differential smoke sweep) =="
 # Grammar-aware generator soak: a fixed seed range through the full
 # tier/codec/GC configuration matrix (DESIGN.md §15). Seed count follows
@@ -103,4 +110,5 @@ echo
 echo "Results: $SAFETSA_BENCH_DIR/BENCH_exec.json" \
      "$SAFETSA_BENCH_DIR/BENCH_gc.json" \
      "$SAFETSA_BENCH_DIR/BENCH_scaling.json" \
-     "$SAFETSA_BENCH_DIR/BENCH_serve.json"
+     "$SAFETSA_BENCH_DIR/BENCH_serve.json" \
+     "$SAFETSA_BENCH_DIR/BENCH_pipeline.json"

@@ -74,10 +74,6 @@ struct OptStats {
 OptStats optimizeModule(TSAModule &Module,
                         const OptOptions &Options = OptOptions());
 
-/// Single-method entry point (used by tests).
-OptStats optimizeMethod(TSAMethod &M, PlaneContext &Ctx,
-                        const OptOptions &Options = OptOptions());
-
 } // namespace safetsa
 
 #endif // SAFETSA_OPT_OPTIMIZER_H

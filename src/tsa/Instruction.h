@@ -329,6 +329,10 @@ public:
   bool DstSafe = false;
 
   PrimOp Prim = PrimOp::AddI;       // Primitive / XPrimitive.
+  /// Dense per-method number the producer optimizer assigns on entry to a
+  /// method and uses to index its flat tables; meaningless elsewhere. It
+  /// sits in the padding after Prim, so it costs no space.
+  uint32_t Id = 0;
   ConstantValue C;                  // Const.
   unsigned ParamIndex = 0;          // Param.
   FieldSymbol *Field = nullptr;     // Get/SetField, Get/SetStatic.

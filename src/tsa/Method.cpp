@@ -15,7 +15,6 @@
 #include "tsa/Method.h"
 #include "tsa/Signature.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 using namespace safetsa;
@@ -227,62 +226,6 @@ void TSAMethod::finalize(PlaneContext &Ctx) {
       I->PlaneIndex = BB->PlaneCounts[Id]++;
     }
   }
-}
-
-void TSAMethod::replaceAllUsesWith(Instruction *Old, Instruction *New) {
-  assert(Old != New && "self replacement");
-  forEachInstruction([&](const Instruction &CI) {
-    auto &I = const_cast<Instruction &>(CI);
-    for (Instruction *&Op : I.Operands)
-      if (Op == Old)
-        Op = New;
-  });
-  // CST value references (conditions, return values).
-  std::function<void(const CSTSeq &)> Walk = [&](const CSTSeq &Seq) {
-    for (const auto &Node : Seq) {
-      if (Node->Cond == Old)
-        Node->Cond = New;
-      if (Node->RetVal == Old)
-        Node->RetVal = New;
-      Walk(Node->Then);
-      Walk(Node->Else);
-      Walk(Node->Header);
-      Walk(Node->Body);
-    }
-  };
-  Walk(Root);
-}
-
-bool TSAMethod::hasUses(const Instruction *I) const {
-  bool Found = false;
-  forEachInstruction([&](const Instruction &Other) {
-    for (const Instruction *Op : Other.Operands)
-      if (Op == I)
-        Found = true;
-  });
-  if (Found)
-    return true;
-  std::function<bool(const CSTSeq &)> Walk = [&](const CSTSeq &Seq) {
-    for (const auto &Node : Seq) {
-      if (Node->Cond == I || Node->RetVal == I)
-        return true;
-      if (Walk(Node->Then) || Walk(Node->Else) || Walk(Node->Header) ||
-          Walk(Node->Body))
-        return true;
-    }
-    return false;
-  };
-  return Walk(Root);
-}
-
-void TSAMethod::eraseIf(const std::function<bool(const Instruction &)> &Pred) {
-  // Unlinked instructions stay in the arena until the method dies.
-  for (auto &BB : Blocks)
-    BB->Insts.erase(std::remove_if(BB->Insts.begin(), BB->Insts.end(),
-                                   [&](const Instruction *I) {
-                                     return Pred(*I);
-                                   }),
-                    BB->Insts.end());
 }
 
 unsigned TSAMethod::countInstructions() const {

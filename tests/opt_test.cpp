@@ -13,13 +13,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codec/Codec.h"
 #include "corpus/Corpus.h"
 #include "driver/Compiler.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "support/Digest.h"
+#include "testgen/Generator.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace safetsa;
 
@@ -394,6 +399,127 @@ TEST(Opt, IdempotentOnSecondRun) {
   EXPECT_EQ(O.P->TSA->countInstructions(), After1);
   EXPECT_EQ(S2.CSERemoved, 0u);
   EXPECT_EQ(S2.DCERemoved, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden output
+//===----------------------------------------------------------------------===//
+
+// The optimizer keeps its per-method instruction id in padding: decoded
+// modules stay resident in the server cache, so Instruction must not grow.
+static_assert(sizeof(void *) != 8 || sizeof(Instruction) <= 176,
+              "Instruction grew");
+
+// The optimizer's output is pinned byte for byte: for each input set and
+// memory mode, the digest over every program's optimized wire bytes plus
+// the summed OptStats. Any change to what the passes produce, including
+// the order of materialized constants or safe phis, moves the digest.
+// After an intended output change, regenerate the table with
+//   build/tests/opt_test --gtest_also_run_disabled_tests --gtest_filter=OptGolden.DISABLED_PrintExpected
+// and paste its output over the rows of kGolden.
+
+struct GoldenRow {
+  /// "corpus" (14 programs), "testgen" (seeds 1-200) or "transport" (two
+  /// programs where check transport fires; it never does on the others).
+  const char *Set;
+  bool FieldSensitive;
+  const char *Digest;
+  unsigned Stats[7]; ///< OptStats fields in declaration order.
+};
+
+const GoldenRow kGolden[] = {
+    {"corpus", false, "6503893dbc03e148daa81a1ec3e3759b",
+     {47, 687, 493, 52, 721, 681, 0}},
+    {"corpus", true, "c9e96c50f8f0a261add9deb892816bee",
+     {47, 702, 496, 52, 721, 681, 0}},
+    {"testgen", false, "d5b0167c1c33e656ed918d68e30b1cd6",
+     {2957, 14730, 12440, 1094, 10772, 5279, 0}},
+    {"testgen", true, "743e7f0196c95a75ec2d8b49bafc3a53",
+     {2957, 15188, 12449, 1094, 10772, 5279, 0}},
+    {"transport", false, "3b3b02c946476d958e2a6ac3b1a6e830",
+     {0, 2, 2, 0, 12, 11, 2}},
+    {"transport", true, "3b3b02c946476d958e2a6ac3b1a6e830",
+     {0, 2, 2, 0, 12, 11, 2}},
+};
+
+std::vector<std::string> goldenSources(const std::string &Set) {
+  std::vector<std::string> Out;
+  if (Set == "corpus") {
+    for (const CorpusProgram &P : getCorpus())
+      Out.push_back(P.Source);
+  } else if (Set == "testgen") {
+    for (uint64_t S = 1; S <= 200; ++S)
+      Out.push_back(testgen::generateProgram(S));
+  } else {
+    // A diamond and a loop-carried certificate (tests/transport_test.cpp).
+    Out.push_back(
+        "class C { int v; } "
+        "class Main { static int f(C a, C b, boolean c) { C x = null; "
+        "if (c) { x = a; IO.printInt(x.v); } "
+        "else { x = b; IO.printInt(x.v); } return x.v; } "
+        "static void main() { IO.printInt(f(new C(), new C(), true)); } }");
+    Out.push_back(
+        "class Node { int v; Node next; } "
+        "class Main { static int sum(Node head, int n) { Node p = head; "
+        "IO.printInt(p.v); int s = 0; "
+        "for (int i = 0; i < n; i++) { s = s + p.v; Node q = p.next; "
+        "if (q == null) break; IO.printInt(q.v); p = q; } return s; } "
+        "static void main() { Node a = new Node(); Node b = new Node(); "
+        "a.v = 1; b.v = 2; a.next = b; IO.printInt(sum(a, 5)); } }");
+  }
+  return Out;
+}
+
+GoldenRow computeGolden(const char *Set, bool FieldSensitive,
+                        std::string &DigestHex) {
+  OptOptions Options;
+  Options.FieldSensitiveMem = FieldSensitive;
+  OptStats Total;
+  std::string Chain;
+  for (const std::string &Src : goldenSources(Set)) {
+    auto P = compileMJ("golden.mj", Src);
+    EXPECT_TRUE(P->ok()) << P->renderDiagnostics();
+    if (!P->ok())
+      continue;
+    Total += optimizeModule(*P->TSA, Options);
+    Chain += digestOf(ByteSpan(encodeModule(*P->TSA))).hex();
+  }
+  DigestHex = digestOf(ByteSpan(reinterpret_cast<const uint8_t *>(
+                                    Chain.data()),
+                                Chain.size()))
+                  .hex();
+  return {Set,
+          FieldSensitive,
+          DigestHex.c_str(),
+          {Total.FoldedConstants, Total.CSERemoved,
+           Total.CSERemovedNullChecks, Total.CSERemovedIndexChecks,
+           Total.DCERemoved, Total.DCERemovedPhis, Total.TransportedChecks}};
+}
+
+TEST(OptGolden, WireBytesAndStatsUnchanged) {
+  ASSERT_EQ(std::size(kGolden), 6u);
+  for (const GoldenRow &Want : kGolden) {
+    SCOPED_TRACE(std::string(Want.Set) +
+                 (Want.FieldSensitive ? " field-sensitive" : ""));
+    std::string Hex;
+    GoldenRow Got = computeGolden(Want.Set, Want.FieldSensitive, Hex);
+    EXPECT_EQ(Hex, Want.Digest);
+    for (unsigned K = 0; K != 7; ++K)
+      EXPECT_EQ(Got.Stats[K], Want.Stats[K]) << "OptStats field " << K;
+  }
+}
+
+TEST(OptGolden, DISABLED_PrintExpected) {
+  for (const char *Set : {"corpus", "testgen", "transport"})
+    for (bool FS : {false, true}) {
+      std::string Hex;
+      GoldenRow R = computeGolden(Set, FS, Hex);
+      std::printf("    {\"%s\", %s, \"%s\",\n     {", Set,
+                  FS ? "true" : "false", Hex.c_str());
+      for (unsigned K = 0; K != 7; ++K)
+        std::printf("%s%u", K ? ", " : "", R.Stats[K]);
+      std::printf("}},\n");
+    }
 }
 
 } // namespace
