@@ -142,7 +142,7 @@ std::vector<BatchServeLoadResult> BatchCompiler::loadCached(
         // Same cache entry as the decoded module: warm hits return the
         // one prepared form with zero re-lowering (single-flight when
         // several workers race on a cold digest).
-        R.Prepared = Server.loadPrepared(Digests[I], Opts.MaxExecTier, &Err);
+        R.Prepared = Server.loadPrepared(Digests[I], &Err);
         if (!R.Prepared)
           R.Error = Err.empty() ? "prepare failed" : Err;
       }

@@ -63,10 +63,6 @@ struct BatchOptions {
   /// (directly executable) form of each module through the server's
   /// cache; a warm cache serves it with zero re-lowering.
   bool PrepareExec = false;
-  /// Highest execution tier loadCached may serve (min'd with the server's
-  /// own MaxExecTier): 0 pins the profiling tier, 1 (default) lets hot
-  /// modules come back re-quickened with inline caches and fusion.
-  uint32_t MaxExecTier = 1;
   /// Heap-collection policy for Runtimes callers construct to execute
   /// batch-loaded modules (thread through Runtime's constructor or
   /// ExecOptions::Gc; see gc/GC.h).

@@ -143,6 +143,9 @@ struct ICEntry {
   const ClassSymbol *Classes[kMaxWays] = {};
   const ExecUnit *Targets[kMaxWays] = {};
   uint8_t Ways = 0;
+  /// The module-wide profile site (ProfileData::site) this cache was
+  /// built from; ExecInst::S of the dispatch indexes ICs instead.
+  uint32_t Site = 0;
   const MethodSymbol *Method = nullptr; ///< Fallback vtable lookup key.
 };
 
@@ -178,7 +181,7 @@ public:
   /// Tier-1 only: dispatch sites in this unit lowered to a guard-free
   /// direct call by closed-world devirtualization. Together with ICs,
   /// this is the "did tier 1 improve any call in this unit" signal the
-  /// fusion guard consults (see prepareModule pass 3).
+  /// fusion guard consults (see Prepare.cpp's fusion pass).
   uint32_t DevirtSites = 0;
   /// Tier-1 only: call sites in this unit whose callee body was spliced
   /// in by speculative inlining (DESIGN.md §14). Counts as a call
@@ -285,17 +288,14 @@ public:
   size_t countOp(XOp Op) const;
 };
 
-/// Knobs for prepareModule / reprepareModule. Tier 0 ignores everything
-/// but Tier; tier 1 consumes a tier-0 profile and applies the optimizing
-/// transforms, each individually maskable so differential parity can
-/// isolate a transform (the NoFusion flag the exec-tier tests toggle is
-/// also settable via the SAFETSA_EXEC_NOFUSION environment variable,
-/// mirroring SAFETSA_EXEC_ORACLE).
+/// The tier-1 policy: which optimizing transforms reprepareModule
+/// applies. The defaults are the production tier; each switch exists
+/// because the differential matrix or the leave-one-out tier-1 ablation
+/// masks that one transform.
 struct PrepareOptions {
-  uint32_t Tier = 0;
-  /// Tier 1: skip superinstruction fusion (env: SAFETSA_EXEC_NOFUSION).
+  /// Skip superinstruction fusion.
   bool NoFusion = false;
-  /// Tier 1: disable the per-unit fusion guard, fusing every unit
+  /// Disable the per-unit fusion guard, fusing every unit
   /// unconditionally. The guard keeps a unit's tier-0 stream shape when
   /// re-preparation found no call improvement there (no ICs, no devirt)
   /// and fusion would only rewrite compare+branch pairs — the one fusion
@@ -303,45 +303,36 @@ struct PrepareOptions {
   /// units (tier1_speedup dips below 1x when data-dependent branch
   /// chains pay the fused handler's double dispatch).
   bool NoFusionGuard = false;
-  /// Tier 1: skip inline caches and speculative/closed-world
-  /// devirtualization; dispatches stay on the vtable path.
+  /// Skip inline caches and speculative/closed-world devirtualization;
+  /// dispatches stay on the vtable path.
   bool NoInlineCaches = false;
-  /// Tier 1: receiver-class profiles gathered by tier-0 execution; null
-  /// means no speculation (only closed-world devirt and fusion apply).
-  const ProfileData *Profile = nullptr;
-  /// Tier 1: speculative-inlining callee size ceiling in ExecInsts. A
+  /// Speculative-inlining callee size ceiling in ExecInsts. A hot
   /// devirtualized or profiled-mono site is spliced into the caller when
   /// the callee fits this budget and makes no further non-leaf calls
   /// (DESIGN.md §14). 0 disables inlining as effectively as NoInlining.
   uint32_t InlineBudget = 24;
-  /// Tier 1: skip speculative inlining entirely (env:
-  /// SAFETSA_EXEC_NOINLINE).
+  /// Skip speculative inlining entirely.
   bool NoInlining = false;
-  /// Tier 1 (set by reprepareModule): the tier-0 twin, consulted purely
-  /// as a size oracle so lowering reserves each unit's instruction
-  /// stream and side tables up front instead of growing them per emit.
-  const PreparedModule *SizeHints = nullptr;
 };
 
-/// Lowers every method of \p Module once into prepared form. Requires a
-/// generated-or-decoded (i.e. verified) module whose CFG has been derived.
-/// Returns null only when a method exceeds the prepared-form limits
-/// (65534 frame slots or 255 call arguments) — impossible for realistic
-/// programs, checked rather than assumed because decoded modules cross a
-/// trust boundary.
+/// Lowers every method of \p Module once into the profiling tier (tier
+/// 0, with a fresh side profile). Requires a generated-or-decoded (i.e.
+/// verified) module whose CFG has been derived. Returns null only when a
+/// method exceeds the prepared-form limits (65534 frame slots or 255 call
+/// arguments) — impossible for realistic programs, checked rather than
+/// assumed because decoded modules cross a trust boundary.
 std::unique_ptr<PreparedModule> prepareModule(const TSAModule &Module);
-std::unique_ptr<PreparedModule> prepareModule(const TSAModule &Module,
-                                              const PrepareOptions &Opts);
 
 /// Re-quickens a (hot) tier-0 module into tier 1 using its own gathered
 /// profile: profiled-monomorphic dispatch sites get a guarded direct
 /// call, polymorphic ones a bounded inline cache, megamorphic ones stay
-/// on the vtable, and the hottest static instruction pairs fuse into
-/// superinstructions. \p Opts.Tier and \p Opts.Profile are overridden;
-/// the mask flags are honored. Deterministic: the same module with the
-/// same profile yields the same tier-1 streams.
-std::unique_ptr<PreparedModule> reprepareModule(const PreparedModule &T0,
-                                                PrepareOptions Opts = {});
+/// on the vtable, hot small callees are spliced in, and the hottest
+/// static instruction pairs fuse into superinstructions, each as \p Opts
+/// allows. Deterministic: the same module with the same profile yields
+/// the same tier-1 streams. Returns null when \p T0 is not a tier-0
+/// module with a profile, or on a prepared-form limit.
+std::unique_ptr<PreparedModule>
+reprepareModule(const PreparedModule &T0, const PrepareOptions &Opts = {});
 
 /// One-line tier/IC/fusion summary (bench + debugging aid).
 std::string renderTierSummary(const PreparedModule &PM);
@@ -351,8 +342,7 @@ struct ExecOptions {
   /// tree-walking TSAInterpreter on a fresh Runtime and compare trap kind
   /// and printed output (the decoder/verifier oracle pattern). Divergence
   /// is reported via TSAExec::oracleDiverged() and turns the result into
-  /// RuntimeError::Internal. Also enabled by setting the
-  /// SAFETSA_EXEC_ORACLE environment variable non-empty and non-"0".
+  /// RuntimeError::Internal.
   bool TreeWalkOracle = false;
   /// When set, applied to the Runtime (Runtime::setGcOptions) before
   /// execution — the per-call policy view of the same knobs

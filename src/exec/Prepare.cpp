@@ -59,7 +59,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <unordered_map>
 
 using namespace safetsa;
@@ -69,9 +68,10 @@ namespace {
 class MethodLowerer {
 public:
   MethodLowerer(const PreparedModule &PM, const TSAMethod &M, ExecUnit &U,
-                const PrepareOptions &Opts, uint32_t &NextSite,
-                PreparedModule::TierStats &Stats)
-      : PM(PM), M(M), U(U), Opts(Opts), NextSite(NextSite), Stats(Stats) {}
+                const PrepareOptions &Opts, const ProfileData *Prof,
+                uint32_t &NextSite, PreparedModule::TierStats &Stats)
+      : PM(PM), M(M), U(U), Opts(Opts), Prof(Prof), NextSite(NextSite),
+        Stats(Stats) {}
 
   /// False when the method exceeds prepared-form limits (frame slots or
   /// call arity); the unit is then unusable.
@@ -582,7 +582,7 @@ private:
   void lowerDispatch(const Instruction &I, ExecInst &X) {
     uint32_t Site = NextSite++;
     X.Op = XOp::Dispatch;
-    if (Opts.Tier == 0) {
+    if (!Prof) {
       X.S = static_cast<int32_t>(Site); // Tier 0 profiles into this slot.
       return;
     }
@@ -594,9 +594,8 @@ private:
     // implementation on a whole-program corpus), so classification by
     // emitted opcode alone would undercount them — the tier1_mono_sites
     // == 0 artifact this bookkeeping exists to fix.
-    const ProfileData *Prof = Opts.Profile;
     ProfileData::SiteSummary DP;
-    if (Prof && Site < Prof->numSites())
+    if (Site < Prof->numSites())
       DP = Prof->site(Site);
     unsigned Ways = DP.distinct();
     bool Mega = DP.megamorphic();
@@ -627,6 +626,7 @@ private:
     }
     ICEntry E;
     E.Method = I.Method;
+    E.Site = Site;
     for (unsigned W = 0; W != Ways; ++W) {
       const ClassSymbol *C = DP.Classes[W];
       size_t Slot = static_cast<size_t>(I.Method->VTableSlot);
@@ -695,6 +695,8 @@ private:
   const TSAMethod &M;
   ExecUnit &U;
   const PrepareOptions &Opts;
+  /// The tier-0 profile tier 1 lowers from; null at tier 0.
+  const ProfileData *Prof;
   /// Module-wide dispatch-site counter, shared across units (profile
   /// slot allocation at tier 0, profile lookup at tier 1).
   uint32_t &NextSite;
@@ -864,11 +866,6 @@ static bool fusionOnlyCondBranches(const ExecUnit &U) {
   return AnyCondBr;
 }
 
-static bool envFlag(const char *Name) {
-  const char *E = std::getenv(Name);
-  return E && *E && !(E[0] == '0' && E[1] == '\0');
-}
-
 //===----------------------------------------------------------------------===//
 // Speculative inlining (tier 1, DESIGN.md §14)
 //===----------------------------------------------------------------------===//
@@ -906,9 +903,7 @@ static bool envFlag(const char *Name) {
 //    body executes between EnterInline and LeaveInline.
 //
 // Profile gating: sites the tier-0 run never executed keep their calls
-// (a cold splice is pure frame/stream bloat). reprepareModule always
-// passes the tier-0 ProfileData; direct tier-1 preparation without a
-// profile splices every eligible site (the forced-inlining test mode).
+// (a cold splice is pure frame/stream bloat).
 //
 // Profiled-mono sites keep their receiver speculation as a GuardInline
 // in front of the splice; a guard miss branches to an out-of-line copy
@@ -987,7 +982,8 @@ static bool writesParamSlot(const ExecUnit &C) {
   return false;
 }
 
-static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
+static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts,
+                           const ProfileData &Prof) {
   struct Plan {
     size_t SiteIdx;                ///< Caller code index of the call.
     const ExecUnit *Callee;
@@ -995,7 +991,6 @@ static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
     bool AliasArgs;                ///< Read-only params: no entry Moves.
     uint64_t Heat;                 ///< Profiled dynamic calls through it.
   };
-  const ProfileData *Prof = Opts.Profile;
   // Phase 1: plan every unit against the original streams (no unit is
   // mutated until every plan is final).
   std::vector<std::vector<Plan>> Plans(PM.Units.size());
@@ -1003,26 +998,25 @@ static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
     const ExecUnit &U = *UP;
     // A caller the tier-0 run never entered cannot amortize a bigger
     // frame or stream; keep its calls.
-    if (Prof && U.Index < Prof->numUnits() &&
-        Prof->invocations(U.Index) == 0)
+    if (U.Index < Prof.numUnits() && Prof.invocations(U.Index) == 0)
       continue;
     for (size_t I = 0; I != U.Code.size(); ++I) {
       const ExecInst &X = U.Code[I];
       const ExecUnit *Callee = nullptr;
       const ClassSymbol *Guard = nullptr;
-      uint64_t Heat = 1; // No profile: splice every eligible site.
+      uint64_t Heat = 0;
       if (X.Op == XOp::CallUnit) {
         Callee = static_cast<const ExecUnit *>(X.P);
         // Direct calls carry no per-site profile; the callee's
         // module-wide activation count is the closest heat signal.
-        if (Prof && Callee && Callee->Index < Prof->numUnits())
-          Heat = Prof->invocations(Callee->Index);
+        if (Callee && Callee->Index < Prof.numUnits())
+          Heat = Prof.invocations(Callee->Index);
       } else if (X.Op == XOp::DispatchMono && X.S >= 0) {
         const ICEntry &E = U.ICs[X.S];
         Callee = E.Targets[0];
         Guard = E.Classes[0];
-        if (Prof && static_cast<size_t>(X.S) < Prof->numSites())
-          Heat = Prof->site(static_cast<uint32_t>(X.S)).total();
+        if (E.Site < Prof.numSites())
+          Heat = Prof.site(E.Site).total();
       }
       if (!Callee || Callee == &U || Heat == 0)
         continue;
@@ -1294,18 +1288,16 @@ static void inlineHotSites(PreparedModule &PM, const PrepareOptions &Opts) {
   }
 }
 
-} // namespace
-
-std::unique_ptr<PreparedModule>
-safetsa::prepareModule(const TSAModule &Module) {
-  return prepareModule(Module, PrepareOptions{});
-}
-
-std::unique_ptr<PreparedModule>
-safetsa::prepareModule(const TSAModule &Module, const PrepareOptions &Opts) {
+/// Lowers every method of \p Module: the profiling tier when \p T0 is
+/// null, otherwise tier 1 from \p T0's profile under \p Opts, with
+/// \p T0's streams as the size oracle for the tier-1 tables.
+std::unique_ptr<PreparedModule> lowerModule(const TSAModule &Module,
+                                            const PreparedModule *T0,
+                                            const PrepareOptions &Opts) {
+  const ProfileData *Prof = T0 ? T0->Profile.get() : nullptr;
   auto PM = std::make_unique<PreparedModule>();
   PM->Module = &Module;
-  PM->Tier = Opts.Tier;
+  PM->Tier = T0 ? 1 : 0;
   PM->ByGlobalId.assign(Module.Table->getAllMethods().size(), nullptr);
 
   // Pass 1: shells, so cross-method calls (and tier-1 IC targets) take
@@ -1325,45 +1317,45 @@ safetsa::prepareModule(const TSAModule &Module, const PrepareOptions &Opts) {
   // module-wide in lowering order (deterministic across preparations).
   uint32_t NextSite = 0;
   for (auto &U : PM->Units) {
-    // Size oracle (reprepareModule passes the tier-0 twin): pre-inline
-    // tier-1 streams match the tier-0 shape instruction for instruction,
-    // so one up-front reservation replaces the per-emit growth.
-    if (Opts.SizeHints && U->Index < Opts.SizeHints->Units.size()) {
-      const ExecUnit &H = *Opts.SizeHints->Units[U->Index];
+    // Pre-inline tier-1 streams match the tier-0 shape instruction for
+    // instruction, so one up-front reservation replaces the per-emit
+    // growth.
+    if (T0 && U->Index < T0->Units.size()) {
+      const ExecUnit &H = *T0->Units[U->Index];
       U->Code.reserve(H.Code.size());
       U->ArgPool.reserve(H.ArgPool.size());
       U->ConstPool.reserve(H.ConstPool.size());
       U->StrPool.reserve(H.StrPool.size());
       U->RefSlots.reserve(H.RefSlots.size());
     }
-    MethodLowerer L(*PM, *U->Method, *U, Opts, NextSite, PM->Tiering);
+    MethodLowerer L(*PM, *U->Method, *U, Opts, Prof, NextSite, PM->Tiering);
     if (!L.run())
       return nullptr;
   }
 
-  // Pass 2.5 (tier 1): speculative inlining — splice small statically-
-  // known callees into their callers before fusion, so the fused stream
-  // sees the flattened code (DESIGN.md §14).
-  if (Opts.Tier >= 1 && !Opts.NoInlining && Opts.InlineBudget > 0 &&
-      !envFlag("SAFETSA_EXEC_NOINLINE"))
-    inlineHotSites(*PM, Opts);
+  if (Prof) {
+    // Pass 2.5: speculative inlining — splice small statically-known
+    // callees into their callers before fusion, so the fused stream sees
+    // the flattened code (DESIGN.md §14).
+    if (!Opts.NoInlining && Opts.InlineBudget > 0)
+      inlineHotSites(*PM, Opts, *Prof);
 
-  // Pass 3 (tier 1): fuse after every handler stub and branch target has
-  // been patched, so the peephole sees final indices. The per-unit guard
-  // keeps the tier-0 stream shape where the re-prepared form would not
-  // be an improvement (compare+branch-only units with no call gains).
-  if (Opts.Tier >= 1 && !Opts.NoFusion && !envFlag("SAFETSA_EXEC_NOFUSION"))
-    for (auto &U : PM->Units) {
-      if (!Opts.NoFusionGuard && fusionOnlyCondBranches(*U)) {
-        ++PM->Tiering.FusionGuardedUnits;
-        continue;
+    // Pass 3: fuse after every handler stub and branch target has been
+    // patched, so the peephole sees final indices. The per-unit guard
+    // keeps the tier-0 stream shape where the re-prepared form would not
+    // be an improvement (compare+branch-only units with no call gains).
+    if (!Opts.NoFusion)
+      for (auto &U : PM->Units) {
+        if (!Opts.NoFusionGuard && fusionOnlyCondBranches(*U)) {
+          ++PM->Tiering.FusionGuardedUnits;
+          continue;
+        }
+        fuseUnit(*U);
       }
-      fuseUnit(*U);
-    }
-
-  // Tier 0 carries the side profile the optimizing tier will consume.
-  if (Opts.Tier == 0)
+  } else {
+    // Tier 0 carries the side profile the optimizing tier will consume.
     PM->Profile = std::make_unique<ProfileData>(PM->Units.size(), NextSite);
+  }
 
   for (const auto &U : PM->Units) {
     const MethodSymbol *S = U->Symbol;
@@ -1375,10 +1367,17 @@ safetsa::prepareModule(const TSAModule &Module, const PrepareOptions &Opts) {
   return PM;
 }
 
+} // namespace
+
 std::unique_ptr<PreparedModule>
-safetsa::reprepareModule(const PreparedModule &T0, PrepareOptions Opts) {
-  Opts.Tier = 1;
-  Opts.Profile = T0.Profile.get();
-  Opts.SizeHints = &T0; // Reserve tier-1 tables at tier-0 twin sizes.
-  return prepareModule(*T0.Module, Opts);
+safetsa::prepareModule(const TSAModule &Module) {
+  return lowerModule(Module, nullptr, PrepareOptions{});
+}
+
+std::unique_ptr<PreparedModule>
+safetsa::reprepareModule(const PreparedModule &T0,
+                         const PrepareOptions &Opts) {
+  if (T0.Tier != 0 || !T0.Profile)
+    return nullptr;
+  return lowerModule(*T0.Module, &T0, Opts);
 }

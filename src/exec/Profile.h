@@ -65,13 +65,17 @@ public:
   /// megamorphic tally. Must match ICEntry::kMaxWays (static_assert in
   /// ExecUnit.h).
   static constexpr unsigned kWays = 4;
+  /// Per-method invocation count at which a module is hot: the serve
+  /// cache re-quickens a tier-0 module to tier 1 once any of its methods
+  /// has been entered this often.
+  static constexpr uint64_t kHotThreshold = 32;
   /// Counter stripes. A power of two; modest because each stripe carries
   /// full per-unit/per-site arrays.
   static constexpr unsigned kStripes = 8;
   /// Saturation ceiling for every profile counter: adds stop here
   /// instead of wrapping, so no amount of tier-0 execution can ever
   /// wrap a hot tally around and demote the site/method below
-  /// HotThreshold. Low enough that a cross-stripe sum (kStripes x cap,
+  /// kHotThreshold. Low enough that a cross-stripe sum (kStripes x cap,
   /// plus bounded racing overshoot) cannot overflow u64 either.
   static constexpr uint64_t kSaturate = uint64_t(1) << 60;
 
@@ -165,11 +169,11 @@ public:
   size_t numUnits() const { return NUnits; }
   size_t numSites() const { return NSites; }
 
-  /// True when any method has been entered at least \p Threshold times —
-  /// the re-quickening trigger the cache polls.
-  bool anyHot(uint64_t Threshold) const {
+  /// True when any method has been entered at least kHotThreshold times
+  /// — the re-quickening trigger the cache polls.
+  bool anyHot() const {
     for (size_t U = 0; U != NUnits; ++U)
-      if (invocations(static_cast<uint32_t>(U)) >= Threshold)
+      if (invocations(static_cast<uint32_t>(U)) >= kHotThreshold)
         return true;
     return false;
   }

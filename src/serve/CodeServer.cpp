@@ -6,10 +6,6 @@
 
 #include "serve/CodeServer.h"
 
-#include "exec/ExecUnit.h"
-
-#include <algorithm>
-
 using namespace safetsa;
 
 std::vector<uint8_t> safetsa::encodeStats(const ServeStats &S) {
@@ -124,7 +120,7 @@ std::shared_ptr<const DecodedUnit> CodeServer::load(const Digest &D,
 
 std::shared_ptr<const PreparedModule>
 CodeServer::loadPrepared(const Digest &D, std::string *Err) {
-  return loadPrepared(D, Opts.MaxExecTier, Err);
+  return loadPrepared(D, /*MaxTier=*/1, Err);
 }
 
 std::shared_ptr<const PreparedModule>
@@ -135,51 +131,12 @@ CodeServer::loadPrepared(const Digest &D, uint32_t MaxTier, std::string *Err) {
       *Err = "unknown digest " + D.hex();
     return nullptr;
   }
-  ModuleCache::TierPolicy Tier;
-  Tier.MaxTier = std::min(MaxTier, Opts.MaxExecTier);
-  Tier.HotThreshold = Opts.HotThreshold;
-  Tier.Reprepare =
-      [NoFusion = Opts.NoFusion, InlineBudget = Opts.InlineBudget,
-       NoInlining = Opts.NoInlining](
-          const std::shared_ptr<const PreparedModule> &T0,
-          std::string *E) -> std::shared_ptr<const PreparedModule> {
-    PrepareOptions PO;
-    PO.NoFusion = NoFusion;
-    PO.InlineBudget = InlineBudget;
-    PO.NoInlining = NoInlining;
-    auto T1 = reprepareModule(*T0, PO);
-    if (!T1) {
-      if (E)
-        *E = "module exceeds prepared-form limits";
-      return nullptr;
-    }
-    // Tier 1 points into the same decoded IR the tier-0 form does (and
-    // its ICs point at tier-1 units only); keeping the tier-0 module —
-    // whose own deleter keeps the decoded unit — pins everything.
-    return std::shared_ptr<const PreparedModule>(
-        T1.release(), [Keep = T0](const PreparedModule *P) { delete P; });
-  };
   return Cache.getPrepared(
       D, Bytes->size(),
       [&](std::string *E) {
         return decodeModule(ByteSpan(*Bytes), E, DecodeOptions{});
       },
-      [](const std::shared_ptr<const DecodedUnit> &Unit,
-         std::string *E) -> std::shared_ptr<const PreparedModule> {
-        auto PM = prepareModule(*Unit->Module);
-        if (!PM) {
-          if (E)
-            *E = "module exceeds prepared-form limits";
-          return nullptr;
-        }
-        // The prepared form points into the decoded unit's IR and type
-        // tables; capturing the unit in the deleter keeps it alive for as
-        // long as any caller holds the prepared module, independent of
-        // cache eviction order.
-        return std::shared_ptr<const PreparedModule>(
-            PM.release(), [Keep = Unit](const PreparedModule *P) { delete P; });
-      },
-      Tier, Err);
+      MaxTier, Err);
 }
 
 ServeStats CodeServer::stats() const {

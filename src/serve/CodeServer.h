@@ -89,22 +89,6 @@ struct CodeServerOptions {
   bool VerifyOnPublish = true;
   /// Directory for persistent storage; empty = in-memory only.
   std::string StoreDir;
-  /// Highest execution tier loadPrepared serves: 0 = profiling tier only,
-  /// 1 (default) = re-quicken hot modules with inline caches, closed-world
-  /// devirtualization, and superinstruction fusion (DESIGN.md §11).
-  uint32_t MaxExecTier = 1;
-  /// Per-method invocation count at which a module becomes hot and
-  /// loadPrepared re-quickens it to tier 1.
-  uint64_t HotThreshold = 32;
-  /// Disable superinstruction fusion in tier-1 streams (also settable
-  /// process-wide via SAFETSA_EXEC_NOFUSION).
-  bool NoFusion = false;
-  /// Speculative-inlining callee size ceiling for tier-1 re-preparation
-  /// (PrepareOptions::InlineBudget; DESIGN.md §14).
-  uint32_t InlineBudget = 24;
-  /// Disable speculative inlining in tier-1 streams (also settable
-  /// process-wide via SAFETSA_EXEC_NOINLINE).
-  bool NoInlining = false;
   /// Heap-collection policy for executions this server's modules feed:
   /// workers executing a loaded module construct their Runtime with
   /// these knobs (see gc/GC.h). The default keeps long-running servers
@@ -140,16 +124,15 @@ public:
   /// module for \p D, lowered once per resident cache entry. A warm hit
   /// does no decoding and no re-lowering — it returns directly executable
   /// code (stats().CachePrepares counts lowerings actually run). The
-  /// returned module keeps its decoded unit alive internally. When the
-  /// options allow tier 1 and the module's tier-0 profile has crossed
-  /// HotThreshold, the cache re-quickens it (once, single-flight;
-  /// stats().CacheReprepares) and serves the tier-1 form thereafter.
+  /// returned module keeps its decoded unit alive internally. Once the
+  /// module's tier-0 profile is hot (ProfileData::kHotThreshold), the
+  /// cache re-quickens it (once, single-flight; stats().CacheReprepares)
+  /// and serves the tier-1 form thereafter.
   std::shared_ptr<const PreparedModule> loadPrepared(const Digest &D,
                                                      std::string *Err);
 
-  /// Like loadPrepared but with an explicit tier ceiling (min'd with the
-  /// configured MaxExecTier): 0 forces the profiling tier, letting
-  /// callers (BatchCompiler's MaxExecTier knob, the benches) pin a tier.
+  /// Like loadPrepared but with an explicit tier ceiling: 0 pins the
+  /// profiling tier (the benches use it to time tier 0 alone).
   std::shared_ptr<const PreparedModule>
   loadPrepared(const Digest &D, uint32_t MaxTier, std::string *Err);
 

@@ -280,19 +280,8 @@ ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
 }
 
 std::shared_ptr<const PreparedModule>
-ModuleCache::getPrepared(const Digest &D, size_t Charge,
-                         const DecodeFn &Decode, const PrepareFn &Prepare,
-                         std::string *Err) {
-  Shard &S = shardFor(D);
-  // Lock-free warm hit: decoded AND prepared forms already published.
-  if (const Snapshot *Snap = currentSnapshot(S))
-    if (const View *V = Snap->find(D))
-      if (V->Prepared) {
-        V->E->Touched.store(true, std::memory_order_relaxed);
-        Hits.add();
-        return V->Prepared;
-      }
-
+ModuleCache::getTier0(Shard &S, const Digest &D, size_t Charge,
+                      const DecodeFn &Decode, std::string *Err) {
   std::shared_ptr<const DecodedUnit> Unit = get(D, Charge, Decode, Err);
   if (!Unit)
     return nullptr;
@@ -315,8 +304,13 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     }
   }
 
-  std::string PrepErr;
-  std::shared_ptr<const PreparedModule> PM = Prepare(Unit, &PrepErr);
+  // The prepared form points into the decoded unit's IR and type tables;
+  // capturing the unit in the deleter keeps it alive for as long as any
+  // caller holds the prepared module, independent of eviction order.
+  std::shared_ptr<const PreparedModule> PM;
+  if (std::unique_ptr<PreparedModule> Raw = prepareModule(*Unit->Module))
+    PM.reset(Raw.release(),
+             [Keep = Unit](const PreparedModule *P) { delete P; });
 
   std::lock_guard<std::mutex> Lock(S.M);
   Prepares.add();
@@ -329,42 +323,39 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     S.ReadyCV.notify_all();
   }
   if (!PM && Err)
-    *Err = PrepErr.empty() ? "prepare failed" : PrepErr;
+    *Err = "module exceeds prepared-form limits";
   return PM;
 }
 
 std::shared_ptr<const PreparedModule>
 ModuleCache::getPrepared(const Digest &D, size_t Charge,
-                         const DecodeFn &Decode, const PrepareFn &Prepare,
-                         const TierPolicy &Tier, std::string *Err) {
+                         const DecodeFn &Decode, uint32_t MaxTier,
+                         std::string *Err) {
   Shard &S = shardFor(D);
   // Lock-free warm hits: the settled states — tier 1 cached, or tier 0
-  // cached and not (yet) hot — never take the lock. The hot-but-not-yet-
-  // re-prepared window goes through the locked escalation below.
+  // cached and not (yet) hot — never take a lock. A MaxTier 0 caller
+  // pins the profiling tier even when a tier-1 form is cached. A hot
+  // tier 0 with no tier-1 form yet goes straight to the escalation below.
+  std::shared_ptr<const PreparedModule> T0;
   if (const Snapshot *Snap = currentSnapshot(S))
-    if (const View *V = Snap->find(D)) {
-      if (Tier.MaxTier >= 1 && V->PreparedT1) {
+    if (const View *V = Snap->find(D))
+      if (V->Prepared) {
         V->E->Touched.store(true, std::memory_order_relaxed);
         Hits.add();
-        return V->PreparedT1;
-      }
-      if (V->Prepared) {
-        // A MaxTier==0 caller pins the profiling tier even when a
-        // tier-1 form is cached (ServerTierCapPinsProfilingTier).
-        const ProfileData *Prof = V->Prepared->Profile.get();
-        if (Tier.MaxTier == 0 || !Tier.Reprepare || !Prof ||
-            !Prof->anyHot(Tier.HotThreshold)) {
-          V->E->Touched.store(true, std::memory_order_relaxed);
-          Hits.add();
+        if (MaxTier == 0)
           return V->Prepared;
-        }
+        if (V->PreparedT1)
+          return V->PreparedT1;
+        if (!V->Prepared->Profile->anyHot())
+          return V->Prepared;
+        T0 = V->Prepared;
       }
-    }
 
-  std::shared_ptr<const PreparedModule> T0 =
-      getPrepared(D, Charge, Decode, Prepare, Err);
-  if (!T0 || Tier.MaxTier == 0 || !Tier.Reprepare)
-    return T0;
+  if (!T0) {
+    T0 = getTier0(S, D, Charge, Decode, Err);
+    if (!T0 || MaxTier == 0)
+      return T0;
+  }
 
   std::shared_ptr<Entry> E;
   {
@@ -377,16 +368,19 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     E = It->second;
     if (E->PreparedT1)
       return E->PreparedT1; // Warm tier-1 hit.
-    const ProfileData *Prof = T0->Profile.get();
-    if (!Prof || !Prof->anyHot(Tier.HotThreshold))
+    if (!T0->Profile->anyHot())
       return T0; // Not hot yet; keep profiling at tier 0.
     if (E->RepreparingT1)
       return T0; // A rival is re-quickening; never stall execution on it.
     E->RepreparingT1 = true;
   }
 
-  std::string RepErr;
-  std::shared_ptr<const PreparedModule> T1 = Tier.Reprepare(T0, &RepErr);
+  // Tier 1 points into the same decoded IR the tier-0 form does (and its
+  // ICs point at tier-1 units only); keeping the tier-0 module — whose
+  // own deleter keeps the decoded unit — pins everything.
+  std::shared_ptr<const PreparedModule> T1;
+  if (std::unique_ptr<PreparedModule> Raw = reprepareModule(*T0))
+    T1.reset(Raw.release(), [Keep = T0](const PreparedModule *P) { delete P; });
 
   std::lock_guard<std::mutex> Lock(S.M);
   Reprepares.add();
@@ -395,7 +389,7 @@ ModuleCache::getPrepared(const Digest &D, size_t Charge,
     // Failures are not cached: tier 0 keeps serving and the next hot
     // request retries the re-preparation.
     if (Err)
-      *Err = RepErr.empty() ? "reprepare failed" : RepErr;
+      *Err = "module exceeds prepared-form limits";
     return T0;
   }
   E->PreparedT1 = T1;

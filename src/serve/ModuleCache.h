@@ -103,32 +103,6 @@ public:
   using DecodeFn =
       std::function<std::unique_ptr<DecodedUnit>(std::string *Err)>;
 
-  /// Lowers a decoded unit to executable form; called at most once per
-  /// resident entry per flight, outside all cache locks. The returned
-  /// shared_ptr must keep whatever it references alive (CodeServer passes
-  /// a deleter capturing the decoded unit). Returns null and sets the
-  /// error string on failure.
-  using PrepareFn = std::function<std::shared_ptr<const PreparedModule>(
-      const std::shared_ptr<const DecodedUnit> &Unit, std::string *Err)>;
-
-  /// Re-quickens a hot tier-0 prepared module into tier 1 using its own
-  /// gathered profile; called at most once per resident entry per flight,
-  /// outside all cache locks (same lifetime contract as PrepareFn).
-  /// Returns null and sets the error string on failure — the tier-0 form
-  /// then keeps serving.
-  using ReprepareFn = std::function<std::shared_ptr<const PreparedModule>(
-      const std::shared_ptr<const PreparedModule> &T0, std::string *Err)>;
-
-  /// Tier-escalation policy for the tiered getPrepared overload.
-  struct TierPolicy {
-    /// Highest tier to serve: 0 never re-prepares (pure profiling tier),
-    /// 1 re-quickens once a method crosses HotThreshold.
-    uint32_t MaxTier = 1;
-    /// Per-method invocation count that makes the module hot.
-    uint64_t HotThreshold = 32;
-    ReprepareFn Reprepare;
-  };
-
   /// \p CapacityBytes is split evenly across \p NumShards (each shard at
   /// least 1 byte so a zero/low capacity still admits-and-evicts sanely).
   explicit ModuleCache(size_t CapacityBytes, unsigned NumShards = 8);
@@ -146,30 +120,31 @@ public:
                                          const DecodeFn &Decode,
                                          std::string *Err);
 
-  /// Like get(), but returns the *prepared* (directly executable) form,
-  /// lowering it on first request and caching it on the same entry as the
-  /// decoded module — so a warm hit returns executable code with zero
-  /// re-decoding AND zero re-lowering (stats().Prepares counts lowerings
-  /// actually run), lock-free. Single-flight per digest, like decoding.
-  /// Null only on decode or prepare failure, with *Err set.
-  std::shared_ptr<const PreparedModule> getPrepared(const Digest &D,
-                                                    size_t Charge,
-                                                    const DecodeFn &Decode,
-                                                    const PrepareFn &Prepare,
-                                                    std::string *Err);
-
-  /// Tiered read path: serves the cached tier-1 form when one exists;
-  /// otherwise serves tier 0 and, when the module's profile has crossed
-  /// \p Tier.HotThreshold, re-quickens it to tier 1 first. Re-preparation
-  /// is single-flight per entry and NON-blocking for rivals: while one
-  /// thread re-quickens, every other request keeps executing tier 0, so a
-  /// storm of N threads on one hot module runs exactly one reprepare
-  /// (stats().Reprepares; asserted under TSan) and nobody stalls on the
-  /// optimizer. Warm tier-1 (and cold-profile tier-0) hits are lock-free.
+  /// Like get(), but returns the *prepared* (directly executable) form.
+  /// The cache lowers the module with prepareModule on first request and
+  /// keeps it on the same entry as the decoded module, so a warm hit
+  /// returns executable code with zero re-decoding AND zero re-lowering
+  /// (stats().Prepares counts lowerings actually run). Lowering is
+  /// single-flight per digest, like decoding.
+  ///
+  /// Tiering: with \p MaxTier 0 the profiling tier is always served.
+  /// Otherwise a cached tier-1 form is served when one exists, and once
+  /// the tier-0 profile is hot (ProfileData::anyHot) the calling thread
+  /// re-quickens it with reprepareModule under default PrepareOptions.
+  /// Re-preparation is single-flight per entry and NON-blocking for
+  /// rivals: while one thread re-quickens, every other request keeps
+  /// executing tier 0, so a storm of N threads on one hot module runs
+  /// exactly one reprepare (stats().Reprepares; asserted under TSan) and
+  /// nobody stalls on the optimizer. A failed re-preparation keeps tier 0
+  /// serving and is retried by the next hot request.
+  ///
+  /// Warm tier-1 (and cold-profile tier-0) hits are lock-free. Each
+  /// returned module keeps its decoded unit alive (tier 1 through its
+  /// tier-0 twin), independent of eviction order. Null only on decode or
+  /// prepare failure, with *Err set.
   std::shared_ptr<const PreparedModule>
   getPrepared(const Digest &D, size_t Charge, const DecodeFn &Decode,
-              const PrepareFn &Prepare, const TierPolicy &Tier,
-              std::string *Err);
+              uint32_t MaxTier, std::string *Err);
 
   /// Aggregated over all shards. Exact: every get() lands in exactly one
   /// of Hits/Misses/Coalesced, and each counter is a ShardedCounter whose
@@ -189,6 +164,11 @@ private:
   struct Shard;
 
   Shard &shardFor(const Digest &D);
+  /// getPrepared's tier-0 path past the lock-free probe: decode through
+  /// get(), then lower once per entry (single-flight).
+  std::shared_ptr<const PreparedModule>
+  getTier0(Shard &S, const Digest &D, size_t Charge, const DecodeFn &Decode,
+           std::string *Err);
   /// Rebuilds and publishes \p S's snapshot index from its authoritative
   /// map under a fresh globally-unique id. Caller holds S.M.
   static void publishIndex(Shard &S);

@@ -31,12 +31,13 @@
 #include "driver/Compiler.h"
 #include "exec/ExecUnit.h"
 #include "exec/TSAInterp.h"
+#include "support/Digest.h"
+#include "testgen/Generator.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <thread>
-#include <unordered_map>
 
 using namespace safetsa;
 
@@ -61,9 +62,9 @@ Outcome runModule(const PreparedModule &PM, ClassTable &Table) {
   return {R.Err, RT.getOutput()};
 }
 
-/// One profile/re-quicken cycle with an effective HotThreshold of 1: a
-/// fresh tier-0 preparation, one profiling run of main, then tier 1 from
-/// the gathered profile.
+/// One profile/re-quicken cycle that does not wait for the module to get
+/// hot: a fresh tier-0 preparation, one profiling run of main, then tier
+/// 1 from the gathered profile.
 std::unique_ptr<PreparedModule> tier1AfterOneRun(const TSAModule &M,
                                                  ClassTable &Table,
                                                  PrepareOptions Opts = {}) {
@@ -116,44 +117,63 @@ void expectSourceTierParity(const std::string &Src) {
   expectTierParity(*C->TSA, *C->Table, "tier");
 }
 
-/// Structural identity of a prepared module, with raw ExecUnit pointers
-/// (which differ across independent preparations) rendered through their
-/// stable unit indices. Two byte-identical tier-1 streams produce equal
-/// fingerprints and vice versa; symbol/type pointers are stable because
-/// both preparations come from one compile.
-std::string fingerprint(const PreparedModule &PM) {
-  std::unordered_map<const void *, uint32_t> UnitIdx;
-  for (const auto &U : PM.Units)
-    UnitIdx[U.get()] = U->Index;
+/// Renders one prepared instruction's pointer operand by what it points
+/// at, so the rendering is stable across processes.
+std::string stableP(const ExecInst &In) {
+  if (!In.P)
+    return "-";
+  switch (In.Op) {
+  case XOp::CallUnit:
+    return "u" + std::to_string(static_cast<const ExecUnit *>(In.P)->Index);
+  case XOp::CallNative:
+  case XOp::Dispatch:
+  case XOp::DispatchMono:
+  case XOp::DispatchIC:
+    return "m" +
+           std::to_string(static_cast<const MethodSymbol *>(In.P)->GlobalId);
+  case XOp::New:
+  case XOp::GuardInline:
+    return "c" + std::to_string(static_cast<const ClassSymbol *>(In.P)->Id);
+  case XOp::InstanceOf:
+  case XOp::Upcast:
+  case XOp::NewArray:
+    return "t" + static_cast<const Type *>(In.P)->getName();
+  default:
+    return "?";
+  }
+}
+
+/// Structural identity of a prepared module: every unit's stream, side
+/// tables and IC entries as text, with pointers rendered through stable
+/// ids (unit Index, MethodSymbol GlobalId, ClassSymbol Id, type name), so
+/// the text is comparable across preparations and across processes.
+std::string renderModule(const PreparedModule &PM) {
   std::string S;
-  char Buf[192];
+  char Buf[160];
   for (const auto &U : PM.Units) {
-    std::snprintf(Buf, sizeof(Buf), "unit %u slots=%u args=%u\n", U->Index,
-                  U->NumSlots, U->NumArgs);
+    std::snprintf(Buf, sizeof(Buf), "unit %u slots=%u args=%u refargs=%u\n",
+                  U->Index, U->NumSlots, U->NumArgs, U->NumRefArgs);
     S += Buf;
     for (const ExecInst &In : U->Code) {
-      auto It = UnitIdx.find(In.P);
-      if (It != UnitIdx.end())
-        std::snprintf(Buf, sizeof(Buf),
-                      " %s a%u b%u c%u d%u x%d h%d s%d u%u\n",
-                      xopName(In.Op), In.A, In.B, In.C, In.Dst, In.X,
-                      In.Handler, In.S, It->second);
-      else
-        std::snprintf(Buf, sizeof(Buf),
-                      " %s a%u b%u c%u d%u x%d h%d s%d p%p\n",
-                      xopName(In.Op), In.A, In.B, In.C, In.Dst, In.X,
-                      In.Handler, In.S, In.P);
+      std::snprintf(Buf, sizeof(Buf), " %s n%u a%u b%u c%u d%u x%d h%d s%d ",
+                    xopName(In.Op), In.N, In.A, In.B, In.C, In.Dst, In.X,
+                    In.Handler, In.S);
       S += Buf;
+      S += stableP(In);
+      S += '\n';
     }
+    S += " args";
+    for (uint16_t A : U->ArgPool)
+      S += " " + std::to_string(A);
+    S += "\n refs";
+    for (uint16_t R : U->RefSlots)
+      S += " " + std::to_string(R);
+    S += '\n';
     for (const ICEntry &E : U->ICs) {
-      std::snprintf(Buf, sizeof(Buf), " ic ways=%u m%p", E.Ways,
-                    static_cast<const void *>(E.Method));
-      S += Buf;
-      for (unsigned W = 0; W != E.Ways; ++W) {
-        std::snprintf(Buf, sizeof(Buf), " %s->u%u", E.Classes[W]->Name.c_str(),
-                      UnitIdx.at(E.Targets[W]));
-        S += Buf;
-      }
+      S += " ic m" + std::to_string(E.Method->GlobalId);
+      for (unsigned W = 0; W != E.Ways; ++W)
+        S += " c" + std::to_string(E.Classes[W]->Id) + "->u" +
+             std::to_string(E.Targets[W]->Index);
       S += '\n';
     }
   }
@@ -242,12 +262,12 @@ TEST(TierTryCatch, CaughtTrapInsideHotVirtualCallee) {
 void expectDeterministicReplay(const std::string &Src) {
   auto C = compileMJ("replay.mj", Src);
   ASSERT_TRUE(C->ok()) << C->renderDiagnostics();
-  // Two fully independent cycles over the same workload (effective
-  // HotThreshold = 1: one profiling run each).
+  // Two fully independent cycles over the same workload (one profiling
+  // run each).
   auto A = tier1AfterOneRun(*C->TSA, *C->Table);
   auto B = tier1AfterOneRun(*C->TSA, *C->Table);
   ASSERT_TRUE(A && B);
-  EXPECT_EQ(fingerprint(*A), fingerprint(*B))
+  EXPECT_EQ(renderModule(*A), renderModule(*B))
       << "tier-1 streams diverged across identical profile cycles";
   // And the replayed tier-1 module still matches tier 0 / the oracle.
   Outcome Ref = runTreeWalk(*C->TSA, *C->Table);
@@ -597,7 +617,7 @@ TEST(TierFusion, TreeWalkOracleAgreesOnTier1) {
   ASSERT_TRUE(T1);
   Runtime RT(*C->Table);
   ExecOptions Opts;
-  Opts.TreeWalkOracle = true; // Same flag SAFETSA_EXEC_ORACLE sets.
+  Opts.TreeWalkOracle = true;
   TSAExec X(*T1, RT, Opts);
   ExecResult R = X.runMain();
   EXPECT_EQ(R.Err, RuntimeError::None);
@@ -652,6 +672,186 @@ TEST(TierConcurrency, ConcurrentProfilingAndTier1Execution) {
   }
   EXPECT_EQ(T1->ICHits.load(), 10u * NumThreads);
   EXPECT_EQ(T1->ICMisses.load(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden output: the tier-1 streams of the corpus and generated programs.
+//===----------------------------------------------------------------------===//
+
+// Tier-1 lowering is pinned instruction for instruction: for each corpus
+// program, and for each block of ten testgen seeds (1-200), the digest
+// over every unit's tier-1 stream plus the summed TierStats, after one
+// profiling run of main under default PrepareOptions (the
+// DifferentialRunner protocol). Pointers are rendered through stable ids
+// (unit Index, MethodSymbol GlobalId, ClassSymbol Id, type name), so the
+// digest is the same in every process. After an intended output change,
+// regenerate the table with
+//   build/tests/exec_tier_test --gtest_also_run_disabled_tests --gtest_filter=Tier1Golden.DISABLED_PrintExpected
+// and paste its output over the rows of kTier1Golden.
+
+constexpr unsigned kTierStatsFields = 11;
+
+struct Tier1GoldenRow {
+  const char *Name; ///< Corpus program, or "seeds A-B".
+  const char *Digest;
+  uint64_t Stats[kTierStatsFields]; ///< TierStats in declaration order.
+};
+
+const Tier1GoldenRow kTier1Golden[] = {
+    {"BigInteger", "ec00ae0f86a74fe43ab414720b8fe110",
+     {10, 0, 0, 10, 0, 0, 0, 10, 0, 5, 625}},
+    {"MutableBigInteger", "95aaabb040352cf2bd2177907ceb2518",
+     {28, 0, 0, 30, 0, 0, 0, 28, 0, 16, 1116}},
+    {"BigDecimal", "61bb95c25798505b94041431631f7b1e",
+     {7, 0, 0, 7, 0, 0, 0, 7, 0, 8, 4472}},
+    {"BitSieve", "5b8df63a87127080b5cebda92006fd8a",
+     {9, 0, 0, 9, 0, 0, 0, 9, 0, 7, 454252}},
+    {"Linpack", "fd6a722312deaaac732a0440f5f72647",
+     {0, 0, 0, 0, 0, 0, 0, 0, 1, 4, 4177}},
+    {"Scanner", "9f48a9fe5b666e1db416546a0b93d86e",
+     {3, 0, 0, 3, 0, 0, 0, 3, 1, 5, 159}},
+    {"BinaryCode", "66bd972a35963dda3212c85086e3405d",
+     {5, 0, 0, 5, 0, 0, 0, 5, 0, 5, 85}},
+    {"Parser", "39f1e2a95cc772e26048aecb527c8747",
+     {23, 0, 0, 23, 0, 0, 0, 23, 0, 17, 2268}},
+    {"Sorter", "1bb4db26c83a123e9b959ba417a2dfc6",
+     {3, 0, 0, 3, 0, 0, 0, 3, 0, 5, 7502}},
+    {"BatchEnvironment", "aa302ae28c16ef0e9d6f58e7a4b9d0fc",
+     {7, 0, 0, 7, 0, 0, 0, 7, 0, 4, 28804}},
+    {"SourceClass", "376a002f486e9537eaa251282a2b8ae6",
+     {1, 3, 0, 1, 0, 3, 0, 1, 0, 5, 27}},
+    {"BatchParser", "21dcafdcc626b0872d28ccdafc2c3b1e",
+     {10, 0, 0, 10, 0, 0, 0, 10, 0, 3, 1556}},
+    {"Main", "f0e7cc3ffe56a0f0aac75b8fcf8b3013",
+     {16, 0, 0, 16, 0, 0, 0, 16, 0, 12, 73852}},
+    {"Assembler", "3b080f8c1368154996b6d3e9f80e28a3",
+     {10, 3, 0, 8, 2, 3, 0, 10, 0, 15, 506173}},
+    {"seeds 1-10", "90e9b983e24052633223f0fc42e4c4d2",
+     {12, 13, 0, 14, 6, 7, 0, 12, 0, 17, 847}},
+    {"seeds 11-20", "5af249a88e08a1c29c69fdea6c6f2ab5",
+     {20, 14, 0, 24, 6, 8, 6, 20, 0, 34, 399}},
+    {"seeds 21-30", "6d51c7073888486116afe3e372f03f86",
+     {7, 12, 0, 14, 2, 10, 3, 7, 0, 16, 73}},
+    {"seeds 31-40", "c2904eca913eca48acbd31a7308ff96e",
+     {13, 10, 0, 14, 5, 7, 5, 13, 0, 22, 70}},
+    {"seeds 41-50", "d34cf7e8a8e9e0a8c6d5138cb5d98225",
+     {15, 11, 0, 23, 4, 9, 9, 15, 0, 10, 61}},
+    {"seeds 51-60", "bc94bf642cc84392ecc5e45084c33d06",
+     {18, 9, 0, 15, 9, 6, 3, 18, 0, 27, 131}},
+    {"seeds 61-70", "b6707ecbae9d1fc8a02582c155727dc0",
+     {9, 12, 0, 9, 6, 8, 6, 9, 0, 23, 628}},
+    {"seeds 71-80", "6a994082c69515f6547aba480d71776c",
+     {15, 15, 0, 17, 6, 11, 8, 15, 0, 22, 144}},
+    {"seeds 81-90", "a2efb37d2a3761de15581cc4ecaab1b0",
+     {15, 13, 0, 14, 7, 11, 7, 15, 0, 14, 22}},
+    {"seeds 91-100", "d9f97e108d67ab9b02c7118d03bffd13",
+     {19, 14, 0, 28, 6, 6, 7, 19, 0, 29, 130}},
+    {"seeds 101-110", "2c36946c522d03ec12a77705970c0e77",
+     {11, 12, 0, 15, 5, 9, 12, 11, 0, 10, 17}},
+    {"seeds 111-120", "914b1a8e4046d18d228ffd895ab0d810",
+     {11, 15, 0, 17, 3, 9, 4, 11, 0, 10, 82}},
+    {"seeds 121-130", "4eefefffe49ed31ae0c8498cd4f4ec6a",
+     {7, 11, 0, 14, 1, 6, 3, 7, 0, 25, 93}},
+    {"seeds 131-140", "df6ef815d23b866f77a96f0229406e23",
+     {15, 11, 0, 22, 3, 6, 5, 15, 0, 30, 277}},
+    {"seeds 141-150", "72d86c12bd99743c82b25c765d4b8008",
+     {9, 11, 0, 15, 2, 8, 7, 9, 0, 15, 30}},
+    {"seeds 151-160", "cccbcbf4ce3237b83ecc3b3d5c9363da",
+     {11, 9, 0, 16, 4, 6, 6, 11, 0, 24, 303}},
+    {"seeds 161-170", "464202e0e9e11bad5654a39fbcdb58e8",
+     {6, 11, 0, 11, 4, 11, 6, 6, 0, 19, 101}},
+    {"seeds 171-180", "0839d5892e10d80da534e91a5ee3f303",
+     {12, 12, 0, 14, 4, 8, 3, 12, 0, 12, 404}},
+    {"seeds 181-190", "f9fbfe0b298a8a7033fe3e57c3a2f996",
+     {9, 11, 0, 11, 5, 8, 5, 9, 0, 19, 208}},
+    {"seeds 191-200", "da5d2bcd0224efc51318ba6e3a78c3f2",
+     {14, 11, 0, 23, 4, 7, 8, 14, 0, 26, 196}},
+};
+
+std::vector<std::pair<std::string, std::vector<std::string>>>
+tier1GoldenSets() {
+  std::vector<std::pair<std::string, std::vector<std::string>>> Sets;
+  for (const CorpusProgram &P : getCorpus())
+    Sets.push_back({P.Name, {P.Source}});
+  for (uint64_t First = 1; First <= 200; First += 10) {
+    std::vector<std::string> Srcs;
+    for (uint64_t S = First; S != First + 10; ++S)
+      Srcs.push_back(testgen::generateProgram(S));
+    Sets.push_back({"seeds " + std::to_string(First) + "-" +
+                        std::to_string(First + 9),
+                    std::move(Srcs)});
+  }
+  return Sets;
+}
+
+void computeTier1Golden(const std::vector<std::string> &Srcs,
+                        std::string &DigestHex,
+                        uint64_t (&Stats)[kTierStatsFields]) {
+  std::string Chain;
+  for (uint64_t &F : Stats)
+    F = 0;
+  for (const std::string &Src : Srcs) {
+    auto C = compileMJ("golden.mj", Src);
+    EXPECT_TRUE(C->ok()) << C->renderDiagnostics();
+    if (!C->ok())
+      continue;
+    auto T0 = prepareModule(*C->TSA);
+    ASSERT_TRUE(T0);
+    {
+      // The DifferentialRunner's default fuel: generated programs that
+      // would run longer stop deterministically.
+      Runtime RT(*C->Table, 20'000'000);
+      TSAExec X(*T0, RT);
+      X.runMain();
+    }
+    auto T1 = reprepareModule(*T0);
+    ASSERT_TRUE(T1);
+    std::string Text = renderModule(*T1);
+    Chain += digestOf(ByteSpan(reinterpret_cast<const uint8_t *>(Text.data()),
+                               Text.size()))
+                 .hex();
+    const PreparedModule::TierStats &T = T1->Tiering;
+    const uint64_t Row[kTierStatsFields] = {
+        T.ProfiledMono, T.ProfiledPoly, T.Megamorphic,
+        T.DevirtCalls,  T.MonoICs,      T.PolyICs,
+        T.VtableSites,  T.MonoLoweredDirect, T.FusionGuardedUnits,
+        T.InlinedSites, T.InlinedHeat};
+    for (unsigned K = 0; K != kTierStatsFields; ++K)
+      Stats[K] += Row[K];
+  }
+  DigestHex = digestOf(ByteSpan(reinterpret_cast<const uint8_t *>(
+                                    Chain.data()),
+                                Chain.size()))
+                  .hex();
+}
+
+TEST(Tier1Golden, StreamsAndTierStatsUnchanged) {
+  auto Sets = tier1GoldenSets();
+  ASSERT_EQ(std::size(kTier1Golden), Sets.size());
+  for (size_t I = 0; I != Sets.size(); ++I) {
+    const Tier1GoldenRow &Want = kTier1Golden[I];
+    SCOPED_TRACE(Sets[I].first);
+    EXPECT_EQ(Sets[I].first, Want.Name);
+    std::string Hex;
+    uint64_t Got[kTierStatsFields];
+    computeTier1Golden(Sets[I].second, Hex, Got);
+    EXPECT_EQ(Hex, Want.Digest);
+    for (unsigned K = 0; K != kTierStatsFields; ++K)
+      EXPECT_EQ(Got[K], Want.Stats[K]) << "TierStats field " << K;
+  }
+}
+
+TEST(Tier1Golden, DISABLED_PrintExpected) {
+  for (const auto &[Name, Srcs] : tier1GoldenSets()) {
+    std::string Hex;
+    uint64_t Stats[kTierStatsFields];
+    computeTier1Golden(Srcs, Hex, Stats);
+    std::printf("    {\"%s\", \"%s\",\n     {", Name.c_str(), Hex.c_str());
+    for (unsigned K = 0; K != kTierStatsFields; ++K)
+      std::printf("%s%llu", K ? ", " : "",
+                  static_cast<unsigned long long>(Stats[K]));
+    std::printf("}},\n");
+  }
 }
 
 } // namespace

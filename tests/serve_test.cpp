@@ -713,22 +713,40 @@ const char *kVirtualSrc =
     "static void main() { A x = new A(); int s = 0; int i = 0; "
     "while (i < 10) { s = s + go(x); i = i + 1; } IO.printInt(s); } }";
 
+/// Like kVirtualSrc, but go() sees both receiver classes: its site
+/// becomes a two-way inline cache, which inlining never splices, so
+/// every execution tallies IC hits.
+const char *kPolySrc =
+    "class A { int f() { return 1; } } "
+    "class B extends A { int f() { return 2; } } "
+    "class Main { "
+    "static int go(A a) { return a.f(); } "
+    "static void main() { A x = new A(); A y = new B(); int s = 0; "
+    "int i = 0; while (i < 10) { s = s + go(x) + go(y); i = i + 1; } "
+    "IO.printInt(s); } }";
+
+/// Runs \p T0's main until its profile is hot, checking each output.
+/// Every run enters main once, so kHotThreshold runs always suffice.
+void runUntilHot(const PreparedModule &T0, ClassTable &Table,
+                 const std::string &Want) {
+  for (unsigned Run = 0; !T0.Profile->anyHot(); ++Run) {
+    ASSERT_LT(Run, ProfileData::kHotThreshold) << "module never got hot";
+    Runtime RT(Table);
+    TSAExec X(T0, RT);
+    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
+    EXPECT_EQ(RT.getOutput(), Want);
+  }
+}
+
 // A module that crosses the hot threshold is re-quickened exactly once,
 // even under a concurrent loadPrepared storm: one thread runs the
 // re-preparation while rivals are served the profiling tier without
 // blocking. Afterwards everyone gets the cached tier-1 form, and the
 // STATS reply carries the reprepare + inline-cache counters.
 TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
-  CodeServerOptions Opts;
-  Opts.HotThreshold = 1;
-  // Inlining off so the hot site stays a tallying DispatchMono: this
-  // test pins the IC counters on the wire (the inlined shape is covered
-  // by InlinedTierCountersFlowThroughStats below).
-  Opts.NoInlining = true;
-  CodeServer Server(Opts);
+  CodeServer Server;
   std::string Err;
-  Digest D =
-      Server.publish(ByteSpan(encodeProgram("hot.mj", kVirtualSrc)), &Err);
+  Digest D = Server.publish(ByteSpan(encodeProgram("hot.mj", kPolySrc)), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
 
   auto Unit = Server.load(D, &Err);
@@ -740,13 +758,8 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
   EXPECT_EQ(T0->Tier, 0u);
   EXPECT_EQ(Server.stats().CacheReprepares, 0u);
 
-  // One run crosses HotThreshold=1 and seeds the receiver profile.
-  {
-    Runtime RT(*Unit->Table);
-    TSAExec X(*T0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-    EXPECT_EQ(RT.getOutput(), "10");
-  }
+  // Profiling runs make the module hot and seed the receiver profile.
+  ASSERT_NO_FATAL_FAILURE(runUntilHot(*T0, *Unit->Table, "30"));
 
   constexpr unsigned kThreads = 8;
   std::vector<std::thread> Threads;
@@ -785,10 +798,10 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
     Runtime RT(*Unit->Table);
     TSAExec X(*T1, RT);
     ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-    EXPECT_EQ(RT.getOutput(), "10");
+    EXPECT_EQ(RT.getOutput(), "30");
   }
   ServeStats S = Server.stats();
-  EXPECT_GE(S.CacheICHits, 10u);
+  EXPECT_GE(S.CacheICHits, 20u);
   EXPECT_EQ(S.CacheICMisses, 0u);
 
   // And over the wire: the STATS frame carries the tier counters.
@@ -806,9 +819,7 @@ TEST(Serve, HotModuleIsRequickenedOnceUnderStorm) {
 // the resident tier-1 module through stats() and the STATS frame (the
 // two fields appended for DESIGN.md §14).
 TEST(Serve, InlinedTierCountersFlowThroughStats) {
-  CodeServerOptions Opts;
-  Opts.HotThreshold = 1;
-  CodeServer Server(Opts);
+  CodeServer Server;
   std::string Err;
   Digest D =
       Server.publish(ByteSpan(encodeProgram("inl.mj", kVirtualSrc)), &Err);
@@ -818,11 +829,7 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
 
   auto T0 = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(T0) << Err;
-  {
-    Runtime RT(*Unit->Table);
-    TSAExec X(*T0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-  }
+  ASSERT_NO_FATAL_FAILURE(runUntilHot(*T0, *Unit->Table, "10"));
   auto T1 = Server.loadPrepared(D, &Err);
   ASSERT_TRUE(T1) << Err;
   ASSERT_EQ(T1->Tier, 1u);
@@ -846,52 +853,22 @@ TEST(Serve, InlinedTierCountersFlowThroughStats) {
   ASSERT_TRUE(Client.stats(WireStats, &Err)) << Err;
   EXPECT_EQ(WireStats.CacheInlinedSites, S.CacheInlinedSites);
   EXPECT_EQ(WireStats.CacheInlineGuardMisses, 0u);
-
-  // The per-server kill switch flows through the reprepare hook: a
-  // NoInlining server re-quickens the same module with zero splices.
-  CodeServerOptions OffOpts;
-  OffOpts.HotThreshold = 1;
-  OffOpts.NoInlining = true;
-  CodeServer Off(OffOpts);
-  Digest D2 =
-      Off.publish(ByteSpan(encodeProgram("inloff.mj", kVirtualSrc)), &Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  auto U2 = Off.load(D2, &Err);
-  ASSERT_TRUE(U2) << Err;
-  auto P0 = Off.loadPrepared(D2, &Err);
-  ASSERT_TRUE(P0) << Err;
-  {
-    Runtime RT(*U2->Table);
-    TSAExec X(*P0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-  }
-  auto P1 = Off.loadPrepared(D2, &Err);
-  ASSERT_TRUE(P1) << Err;
-  ASSERT_EQ(P1->Tier, 1u);
-  EXPECT_EQ(Off.stats().CacheInlinedSites, 0u);
 }
 
-// A server capped at MaxExecTier=0 never re-quickens, no matter how hot
-// the module runs.
+// A caller that caps loads at tier 0 never gets a re-quickened module, no
+// matter how hot the module runs.
 TEST(Serve, ServerTierCapPinsProfilingTier) {
-  CodeServerOptions Opts;
-  Opts.MaxExecTier = 0;
-  Opts.HotThreshold = 1;
-  CodeServer Server(Opts);
+  CodeServer Server;
   std::string Err;
   Digest D =
       Server.publish(ByteSpan(encodeProgram("cap.mj", kVirtualSrc)), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
   auto Unit = Server.load(D, &Err);
   ASSERT_TRUE(Unit) << Err;
-  auto T0 = Server.loadPrepared(D, &Err);
+  auto T0 = Server.loadPrepared(D, /*MaxTier=*/0, &Err);
   ASSERT_TRUE(T0) << Err;
-  {
-    Runtime RT(*Unit->Table);
-    TSAExec X(*T0, RT);
-    ASSERT_EQ(X.runMain().Err, RuntimeError::None);
-  }
-  auto Again = Server.loadPrepared(D, &Err);
+  ASSERT_NO_FATAL_FAILURE(runUntilHot(*T0, *Unit->Table, "10"));
+  auto Again = Server.loadPrepared(D, /*MaxTier=*/0, &Err);
   ASSERT_TRUE(Again) << Err;
   EXPECT_EQ(Again->Tier, 0u);
   EXPECT_EQ(Again.get(), T0.get());
