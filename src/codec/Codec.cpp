@@ -559,7 +559,7 @@ public:
         S.fail("duplicate method body");
         return Fail(S.reason());
       }
-      auto Body = decodeBody(M);
+      auto Body = decodeBody(*Unit->Module, M);
       if (!Body)
         return Fail(S.reason());
       Unit->Module->Methods.push_back(std::move(Body));
@@ -1004,8 +1004,9 @@ private:
   // Method bodies
   //===--------------------------------------------------------------------===//
 
-  std::unique_ptr<TSAMethod> decodeBody(MethodSymbol *Symbol) {
-    auto M = std::make_unique<TSAMethod>();
+  std::unique_ptr<TSAMethod> decodeBody(TSAModule &Module,
+                                        MethodSymbol *Symbol) {
+    auto M = std::make_unique<TSAMethod>(Module.Arena);
     M->Symbol = Symbol;
 
     bool CanFall = false;

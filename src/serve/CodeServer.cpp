@@ -89,7 +89,7 @@ Digest CodeServer::publish(ByteSpan Bytes, std::string *Err) {
     }
   }
   ++Publishes;
-  Store.publish(Bytes);
+  Store.publish(D, Bytes);
   return D;
 }
 

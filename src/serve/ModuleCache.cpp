@@ -30,6 +30,9 @@ struct ModuleCache::Entry {
   bool Ready = false;
   bool Preparing = false; ///< A thread is lowering this entry right now.
   bool RepreparingT1 = false; ///< A thread is re-quickening right now.
+  /// In the shard's current snapshot. Admission leaves it false until
+  /// the next publication (DESIGN.md §12); guarded by the shard mutex.
+  bool Indexed = false;
   /// CLOCK second-chance bit. Set (relaxed, lock-free) by every hit;
   /// cleared by the evicting sweep under the shard lock. Starts false so
   /// an entry that is admitted and never re-referenced is first in line,
@@ -78,6 +81,12 @@ struct ModuleCache::Shard {
   std::vector<Digest> Clock;
   size_t Hand = 0;
   size_t Bytes = 0;
+  /// Ready entries in the current snapshot, and ready entries admitted
+  /// since it was published. Guarded by M. Admission republishes only
+  /// once Unindexed outgrows Indexed, so the rebuilds a stream of N
+  /// admissions pays for sum to O(N).
+  size_t Indexed = 0;
+  size_t Unindexed = 0;
   /// Index publication (the lock-free read path's source of truth).
   /// Snap is guarded by PubM — a tiny critical section touched only by
   /// publishers (who already hold M) and by readers *refreshing a stale
@@ -116,6 +125,7 @@ ModuleCache::Shard &ModuleCache::shardFor(const Digest &D) {
 }
 
 void ModuleCache::publishIndex(Shard &S) {
+  IndexPublishes.add();
   size_t N = S.Clock.size();
   size_t Cap = 8;
   while (Cap < 2 * (N + 1))
@@ -130,6 +140,7 @@ void ModuleCache::publishIndex(Shard &S) {
     size_t I = DigestHash()(KV.first) & Snap->Mask;
     while (Snap->Slots[I].E)
       I = (I + 1) & Snap->Mask;
+    E->Indexed = true;
     View &V = Snap->Slots[I];
     V.D = KV.first;
     V.E = E;
@@ -143,6 +154,8 @@ void ModuleCache::publishIndex(Shard &S) {
   // View contents), or (b) still observes the old id and keeps serving
   // its cached — fully constructed — old snapshot. Either way it never
   // sees a partially built index.
+  S.Indexed = N;
+  S.Unindexed = 0;
   uint64_t Id = NextSnapId.fetch_add(1) + 1;
   std::lock_guard<std::mutex> PubLock(S.PubM);
   S.Snap = std::move(Snap);
@@ -180,11 +193,12 @@ const ModuleCache::Snapshot *ModuleCache::currentSnapshot(Shard &S) {
   return Slot.Snap.get();
 }
 
-void ModuleCache::evictUnderLock(Shard &S, const Entry *JustAdmitted) {
+bool ModuleCache::evictUnderLock(Shard &S, const Entry *JustAdmitted) {
   // CLOCK second chance: sweep the ring, clearing Touched bits; evict
   // the first candidate found untouched since the last sweep. Terminates
   // because each pass strips every second chance and the just-admitted
   // entry is the only permanent skip (guarded by size() > 1).
+  bool Evicted = false;
   while (S.Bytes > ShardCapacity && S.Clock.size() > 1) {
     if (S.Hand >= S.Clock.size())
       S.Hand = 0;
@@ -199,7 +213,9 @@ void ModuleCache::evictUnderLock(Shard &S, const Entry *JustAdmitted) {
     S.Map.erase(It);
     S.Clock.erase(S.Clock.begin() + static_cast<long>(S.Hand));
     Evictions.add();
+    Evicted = true;
   }
+  return Evicted;
 }
 
 std::shared_ptr<const DecodedUnit>
@@ -221,9 +237,13 @@ ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
     if (It != S.Map.end()) {
       E = It->second;
       if (E->Ready) {
-        // Admitted between our snapshot load and the lock: still a hit.
+        // Admitted but not yet indexed (or admitted between our snapshot
+        // load and the lock): still a hit. Index it now so the digest's
+        // next hit is lock-free.
         E->Touched.store(true, std::memory_order_relaxed);
         Hits.add();
+        if (!E->Indexed)
+          publishIndex(S);
         return E->Unit;
       }
       // Single-flight: another thread is decoding this digest right now.
@@ -270,10 +290,14 @@ ModuleCache::get(const Digest &D, size_t Charge, const DecodeFn &Decode,
   if (StillMapped) {
     S.Clock.push_back(D);
     S.Bytes += Charge;
+    ++S.Unindexed;
     // Evict until back under budget; the entry just admitted is never
-    // evicted even when alone over budget.
-    evictUnderLock(S, E.get());
-    publishIndex(S);
+    // evicted even when alone over budget. An eviction republishes at
+    // once so the index never serves (or pins) an evicted module; a
+    // plain admission waits until the unindexed backlog outgrows the
+    // index, and until then the entry is served by the locked path.
+    if (evictUnderLock(S, E.get()) || S.Unindexed > S.Indexed)
+      publishIndex(S);
   }
   S.ReadyCV.notify_all();
   return E->Unit;
@@ -407,6 +431,7 @@ CacheStats ModuleCache::stats() const {
   Out.DecodeFailures = DecodeFailures.sum();
   Out.Prepares = Prepares.sum();
   Out.Reprepares = Reprepares.sum();
+  Out.IndexPublishes = IndexPublishes.sum();
   for (const auto &SP : Shards) {
     Shard &S = *SP;
     std::lock_guard<std::mutex> Lock(S.M);

@@ -24,6 +24,13 @@
 ///    with cores instead of serializing on the shard mutex (a stale
 ///    thread-local copy refreshes under a tiny publication mutex that
 ///    hits otherwise never touch).
+///  - Lazy publication: rebuilding a shard's index costs O(entries), so
+///    admission republishes only when the unindexed backlog outgrows
+///    the indexed count (amortized O(1) per admission). Evictions,
+///    prepared-form installs and clear() republish at once, and so
+///    does the first locked-path hit of an admitted but unindexed
+///    entry. Until then that entry is served, as a hit, by the locked
+///    path: never re-decoded, never stale.
 ///  - Shards: the digest picks a shard; each shard has its own mutex
 ///    (misses only), index, and byte budget (Capacity / NumShards).
 ///  - Single-flight admission: unchanged lock+condvar protocol. The
@@ -91,6 +98,9 @@ struct CacheStats {
   uint64_t InlineGuardMisses = 0;
   size_t Entries = 0;          ///< Resident modules right now.
   size_t Bytes = 0;            ///< Charged bytes right now.
+  /// Shard snapshot rebuilds (DESIGN.md §12). In-process only: not
+  /// part of the STATS wire.
+  uint64_t IndexPublishes = 0;
 };
 
 class PreparedModule;
@@ -171,7 +181,7 @@ private:
            std::string *Err);
   /// Rebuilds and publishes \p S's snapshot index from its authoritative
   /// map under a fresh globally-unique id. Caller holds S.M.
-  static void publishIndex(Shard &S);
+  void publishIndex(Shard &S);
   /// The calling thread's view of \p S's index (may be null for an empty
   /// shard): lock-free when the thread-local cached id is current,
   /// refreshed under S.PubM otherwise. The pointer stays valid until
@@ -180,7 +190,8 @@ private:
   static const Snapshot *currentSnapshot(Shard &S);
   /// CLOCK sweep until the shard is back under \p Capacity (or only the
   /// just-admitted entry remains). Caller holds S.M; caller publishes.
-  void evictUnderLock(Shard &S, const Entry *JustAdmitted);
+  /// True when it evicted anything.
+  bool evictUnderLock(Shard &S, const Entry *JustAdmitted);
 
   const unsigned NumShards;
   const size_t ShardCapacity;
@@ -188,7 +199,7 @@ private:
 
   /// Striped event counters (lock-free add on hits; exact sums).
   ShardedCounter Hits, Misses, Coalesced, Evictions, Decodes,
-      DecodeFailures, Prepares, Reprepares;
+      DecodeFailures, Prepares, Reprepares, IndexPublishes;
 };
 
 } // namespace safetsa

@@ -6,6 +6,7 @@
 
 #include "serve/ModuleStore.h"
 
+#include <cassert>
 #include <filesystem>
 #include <fstream>
 
@@ -22,8 +23,8 @@ std::string ModuleStore::relativePath(const Digest &D) {
   return Hex.substr(0, 2) + "/" + Hex.substr(2) + ".stsa";
 }
 
-Digest ModuleStore::publish(ByteSpan Bytes) {
-  Digest D = digestOf(Bytes);
+void ModuleStore::publish(const Digest &D, ByteSpan Bytes) {
+  assert(D == digestOf(Bytes) && "digest does not name these bytes");
   auto Copy = std::make_shared<const std::vector<uint8_t>>(
       Bytes.Data, Bytes.Data + Bytes.Size);
   bool Fresh;
@@ -40,7 +41,6 @@ Digest ModuleStore::publish(ByteSpan Bytes) {
   }
   if (Fresh && !Dir.empty())
     persist(D, Copy);
-  return D;
 }
 
 std::shared_ptr<const std::vector<uint8_t>>

@@ -44,10 +44,11 @@ public:
   /// `.stsa` files loaded and re-keyed by their actual content digest).
   explicit ModuleStore(std::string Dir = "");
 
-  /// Stores \p Bytes under their digest and returns it. Idempotent:
-  /// publishing bytes already present touches nothing and bumps the
-  /// duplicate counter.
-  Digest publish(ByteSpan Bytes);
+  /// Stores \p Bytes under \p D, which must be digestOf(\p Bytes): the
+  /// caller digests each payload once, for the cache and the store alike.
+  /// Idempotent: publishing bytes already present touches nothing and
+  /// bumps the duplicate counter.
+  void publish(const Digest &D, ByteSpan Bytes);
 
   /// The exact published bytes, or null for an unknown digest.
   std::shared_ptr<const std::vector<uint8_t>> fetch(const Digest &D) const;

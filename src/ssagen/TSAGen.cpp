@@ -386,7 +386,7 @@ public:
         Module(Module), Options(Options) {}
 
   std::unique_ptr<TSAMethod> run() {
-    M = std::make_unique<TSAMethod>();
+    M = std::make_unique<TSAMethod>(Module.Arena);
     M->Symbol = Decl.Symbol;
 
     Entry = M->createBlock();

@@ -125,13 +125,20 @@ using CSTSeq = SmallVector<CSTNode *, 2>;
 
 /// One method in SafeTSA form.
 ///
-/// Owns every IR node (Instruction, BasicBlock, CSTNode) through a bump
-/// arena: creation is a pointer bump, teardown is one slab sweep. Passes
-/// that unlink nodes just drop the pointers — the memory is reclaimed when
-/// the method dies, never individually. All node creation goes through the
-/// create* helpers below so nothing outlives its method.
+/// Every IR node (Instruction, BasicBlock, CSTNode) comes from the owning
+/// module's bump arena (TSAModule::Arena): creation is a pointer bump,
+/// teardown is one slab sweep when the module dies. Passes that unlink
+/// nodes just drop the pointers — the memory is reclaimed with the
+/// module, never individually. All node creation goes through the
+/// create* helpers below so nothing outlives its module.
 class TSAMethod {
 public:
+  /// \p Arena is the owning module's node arena; it must outlive the
+  /// method (TSAModule declares it before Methods).
+  explicit TSAMethod(BumpArena &Arena) : Arena(Arena) {}
+  TSAMethod(const TSAMethod &) = delete;
+  TSAMethod &operator=(const TSAMethod &) = delete;
+
   MethodSymbol *Symbol = nullptr;
 
   /// All blocks in creation order == CST walk order == dominator-tree
@@ -200,21 +207,27 @@ public:
   unsigned countOpcode(Opcode Op) const;
 
 private:
-  /// Backing store for every Instruction, BasicBlock, and CSTNode of this
-  /// method; the containers above hold raw pointers into it.
-  BumpArena Arena;
+  /// The module's node arena: backing store for every Instruction,
+  /// BasicBlock, and CSTNode of this method; the containers above hold
+  /// raw pointers into it.
+  BumpArena &Arena;
 };
 
 /// A compiled SafeTSA module: the unit of mobile-code distribution.
 ///
-/// Owns the SafeTSA form of every method with a body. Type and member
-/// symbols are *references* into the ClassTable — the paper's type table,
-/// whose builtin part "is always generated implicitly and thereby
-/// tamper-proof".
+/// Owns the SafeTSA form of every method with a body, and the one node
+/// arena all of those methods allocate from. Type and member symbols are
+/// *references* into the ClassTable — the paper's type table, whose
+/// builtin part "is always generated implicitly and thereby
+/// tamper-proof". Neither copyable nor movable: methods refer to Arena.
 class TSAModule {
 public:
   ClassTable *Table = nullptr;
   TypeContext *Types = nullptr;
+
+  /// Backing store for every IR node of every method below. Declared
+  /// before Methods so it is destroyed after them.
+  BumpArena Arena;
 
   std::vector<std::unique_ptr<TSAMethod>> Methods;
 

@@ -110,9 +110,11 @@ TEST(Batch, CompileErrorsAreIsolatedPerUnit) {
   ASSERT_EQ(Results.size(), Jobs.size());
   EXPECT_FALSE(Results[1].ok());
   EXPECT_FALSE(Results[1].CompileOk);
-  for (size_t I = 0; I != Results.size(); ++I)
-    if (I != 1)
+  for (size_t I = 0; I != Results.size(); ++I) {
+    if (I != 1) {
       EXPECT_TRUE(Results[I].ok()) << Results[I].Name << Results[I].Error;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {

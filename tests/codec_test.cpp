@@ -16,10 +16,12 @@
 #include "driver/Compiler.h"
 #include "exec/TSAInterp.h"
 #include "opt/Optimizer.h"
+#include "testgen/Generator.h"
 #include "tsa/Verifier.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace safetsa;
@@ -127,6 +129,42 @@ TEST(Codec, OptimizedModulesRoundTrip) {
     ASSERT_TRUE(Unit) << Err;
     TSAVerifier V(*Unit->Module);
     EXPECT_TRUE(V.verify());
+  }
+}
+
+// Footprint pin: a module's IR nodes come from one arena of fixed-size,
+// unzeroed slabs, so what it reserves beyond what its nodes use is the
+// rest of its current slab plus, per filled slab, the slab header and a
+// tail too short for the next node — for the producer's optimized module
+// and for the consumer's decoded one alike, however many methods they
+// have.
+TEST(Codec, ModuleArenaReservesAtMostOneSpareSlab) {
+  constexpr size_t kNodeBytes =
+      std::max({sizeof(Instruction), sizeof(BasicBlock), sizeof(CSTNode)});
+  // Slab header plus a destructor record and the largest node.
+  constexpr size_t kPerSlabLoss = 16 + 16 + kNodeBytes;
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const CorpusProgram &P : getCorpus())
+    Programs.push_back({P.Name, P.Source});
+  for (uint64_t S = 1; S <= 200; ++S)
+    Programs.push_back(
+        {"seed " + std::to_string(S), testgen::generateProgram(S)});
+  for (const auto &[Name, Source] : Programs) {
+    SCOPED_TRACE(Name);
+    auto P = compile(Source);
+    optimizeModule(*P->TSA);
+    std::string Err;
+    auto Unit = decodeModule(encodeModule(*P->TSA), &Err);
+    ASSERT_TRUE(Unit) << Err;
+    for (const TSAModule *M : {P->TSA.get(), Unit->Module.get()}) {
+      const BumpArena &A = M->Arena;
+      ASSERT_GT(A.bytesUsed(), 0u);
+      ASSERT_EQ(A.bytesReserved() % BumpArena::SlabSize, 0u);
+      size_t FullSlabs = A.bytesReserved() / BumpArena::SlabSize - 1;
+      EXPECT_LE(A.bytesReserved() - A.bytesUsed(),
+                BumpArena::SlabSize + FullSlabs * kPerSlabLoss)
+          << A.bytesReserved() << " reserved, " << A.bytesUsed() << " used";
+    }
   }
 }
 

@@ -519,6 +519,143 @@ TEST(ModuleCacheTest, LockFreeHitsRaceEvictionStorm) {
   EXPECT_LE(S.Bytes, 256u + 64u); // Oversize slack: one in-flight charge.
 }
 
+// Admission is amortized O(1): a stream of distinct admissions with no
+// loads in between republishes each shard's index only when the
+// unindexed backlog outgrows it (about log2 of the per-shard count), not
+// once per admission. An admitted but unindexed entry is still a hit,
+// its first hit indexes it, and an eviction republishes at once.
+TEST(ModuleCacheTest, AdmissionIsAmortized) {
+  constexpr unsigned kAdmissions = 1024;
+  ModuleCache Cache(/*CapacityBytes=*/1 << 20, /*NumShards=*/8);
+  // The last admission that did not republish: its entry is unindexed.
+  Digest Unindexed{0, 0};
+  std::shared_ptr<const DecodedUnit> UnindexedUnit;
+  for (uint64_t K = 1; K <= kAdmissions; ++K) {
+    // Real digests, so the admissions spread evenly over the shards.
+    Digest D = digestOf(ByteSpan(reinterpret_cast<const uint8_t *>(&K),
+                                 sizeof(K)));
+    uint64_t Before = Cache.stats().IndexPublishes;
+    std::string Err;
+    auto U = Cache.get(
+        D, /*Charge=*/64,
+        [](std::string *) { return std::make_unique<DecodedUnit>(); }, &Err);
+    ASSERT_TRUE(U);
+    if (Cache.stats().IndexPublishes == Before) {
+      Unindexed = D;
+      UnindexedUnit = U;
+    }
+  }
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Decodes, kAdmissions);
+  EXPECT_EQ(S.Entries, kAdmissions);
+  EXPECT_LE(S.IndexPublishes, 64u);
+  ASSERT_TRUE(UnindexedUnit);
+
+  auto NoDecode = [](std::string *E) -> std::unique_ptr<DecodedUnit> {
+    ADD_FAILURE() << "a resident digest was decoded again";
+    return nullptr;
+  };
+  // First get of an unindexed digest: the locked path serves the same
+  // unit as a hit, and indexes the shard.
+  std::string Err;
+  EXPECT_EQ(Cache.get(Unindexed, 64, NoDecode, &Err), UnindexedUnit);
+  CacheStats After = Cache.stats();
+  EXPECT_EQ(After.Decodes, S.Decodes);
+  EXPECT_EQ(After.Misses, S.Misses);
+  EXPECT_EQ(After.Hits, S.Hits + 1);
+  EXPECT_EQ(After.IndexPublishes, S.IndexPublishes + 1);
+  // Next get comes from the index: nothing is republished.
+  EXPECT_EQ(Cache.get(Unindexed, 64, NoDecode, &Err), UnindexedUnit);
+  EXPECT_EQ(Cache.stats().IndexPublishes, After.IndexPublishes);
+  EXPECT_EQ(Cache.stats().Hits, After.Hits + 1);
+
+  // Eviction: A's admission publishes, B's does not (backlog 1 is not
+  // above 1) and B's first hit does. C's admission evicts A (untouched)
+  // with a backlog of 1 against 2 indexed, so only the eviction can
+  // republish — and must: A's next get is a miss, not a hit served from
+  // the index A was in.
+  ModuleCache Small(/*CapacityBytes=*/100, /*NumShards=*/1);
+  auto Stub = [](std::string *) { return std::make_unique<DecodedUnit>(); };
+  const Digest A{1, 1}, B{2, 2}, C{3, 3};
+  ASSERT_TRUE(Small.get(A, 40, Stub, &Err));
+  ASSERT_TRUE(Small.get(B, 40, Stub, &Err));
+  EXPECT_EQ(Small.stats().IndexPublishes, 1u);
+  ASSERT_TRUE(Small.get(B, 40, Stub, &Err));
+  EXPECT_EQ(Small.stats().IndexPublishes, 2u);
+  ASSERT_TRUE(Small.get(C, 40, Stub, &Err));
+  ASSERT_EQ(Small.stats().Evictions, 1u);
+  EXPECT_EQ(Small.stats().IndexPublishes, 3u);
+  uint64_t Misses = Small.stats().Misses;
+  ASSERT_TRUE(Small.get(A, 40, Stub, &Err));
+  EXPECT_EQ(Small.stats().Misses, Misses + 1);
+  EXPECT_EQ(Small.stats().Decodes, 4u);
+}
+
+// Lock-free and locked-path hits racing a stream of lazy admissions:
+// readers hammer an indexed hot set and chase the digests admitters
+// have just admitted (unindexed, so served under the shard lock and
+// indexed on first hit) while the admitters republish underneath them.
+// Primarily a TSan proof (serve_tsan); with no eviction every digest
+// decodes exactly once and every get is counted once.
+TEST(ModuleCacheTest, AdmissionRacesHits) {
+  constexpr unsigned kReaders = 4, kAdmitters = 4, kIters = 300, kHot = 8;
+  ModuleCache Cache(/*CapacityBytes=*/1 << 20, /*NumShards=*/2);
+  auto Stub = [](std::string *) { return std::make_unique<DecodedUnit>(); };
+  auto Key = [](uint64_t K) { return Digest{K, K * 31}; };
+  std::vector<std::shared_ptr<const DecodedUnit>> Hot;
+  for (uint64_t K = 0; K != kHot; ++K) {
+    std::string Err;
+    Hot.push_back(Cache.get(Key(K), 16, Stub, &Err));
+    ASSERT_TRUE(Hot.back());
+  }
+  uint64_t Setup = Cache.stats().Hits + Cache.stats().Misses +
+                   Cache.stats().Coalesced;
+  std::atomic<uint64_t> Latest[kAdmitters];
+  for (auto &L : Latest)
+    L.store(0);
+  std::atomic<unsigned> Failures{0};
+  std::atomic<uint64_t> Chased{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != kAdmitters; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != kIters; ++I) {
+        uint64_t K = 1000 + T * kIters + I;
+        std::string Err;
+        if (!Cache.get(Key(K), 16, Stub, &Err))
+          ++Failures;
+        Latest[T].store(K, std::memory_order_release);
+      }
+    });
+  for (unsigned T = 0; T != kReaders; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != kIters; ++I) {
+        std::string Err;
+        uint64_t H = (T + I) % kHot;
+        if (Cache.get(Key(H), 16, Stub, &Err) != Hot[H])
+          ++Failures;
+        // A digest some admitter has finished admitting: a hit, never a
+        // second decode.
+        uint64_t K = Latest[I % kAdmitters].load(std::memory_order_acquire);
+        if (K == 0)
+          continue;
+        ++Chased;
+        if (!Cache.get(Key(K), 16, Stub, &Err))
+          ++Failures;
+      }
+    });
+  for (auto &Thr : Threads)
+    Thr.join();
+  ASSERT_EQ(Failures.load(), 0u);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Decodes, kHot + kAdmitters * kIters);
+  EXPECT_EQ(S.Misses, S.Decodes);
+  EXPECT_EQ(S.Evictions, 0u);
+  EXPECT_EQ(S.Entries, kHot + kAdmitters * kIters);
+  // Every get counted exactly once.
+  EXPECT_EQ(S.Hits + S.Misses + S.Coalesced,
+            Setup + uint64_t(kAdmitters + kReaders) * kIters + Chased.load());
+}
+
 // Warm-cache serving through the real server: the second load of every
 // corpus digest does no decoding at all (acceptance criterion).
 TEST(Serve, WarmCacheServesWithoutRedecode) {
@@ -887,7 +1024,8 @@ TEST(ModuleStoreTest, DirectoryPersistenceRoundTrip) {
   Digest D;
   {
     ModuleStore Store(Dir);
-    D = Store.publish(ByteSpan(Wire));
+    D = digestOf(ByteSpan(Wire));
+    Store.publish(D, ByteSpan(Wire));
     // Laid out as <dir>/<hh>/<rest>.stsa.
     EXPECT_TRUE(std::filesystem::exists(
         std::filesystem::path(Dir) / ModuleStore::relativePath(D)));
@@ -909,7 +1047,8 @@ TEST(ModuleStoreTest, ReopenedStoreKeysByContentNotFileName) {
   Digest Real;
   {
     ModuleStore Store(Dir);
-    Real = Store.publish(ByteSpan(Wire));
+    Real = digestOf(ByteSpan(Wire));
+    Store.publish(Real, ByteSpan(Wire));
   }
   // An attacker renames the file to claim a different digest.
   Digest Claimed{0xdead, 0xbeef};

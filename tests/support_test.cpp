@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Arena.h"
 #include "support/BitStream.h"
 #include "support/Diagnostics.h"
 #include "support/ShardedCounter.h"
@@ -259,6 +260,60 @@ TEST(ShardedCounter, ThreadStripeIsStablePerThread) {
   unsigned There = 0;
   std::thread([&] { There = ShardedCounter::threadStripe(); }).join();
   EXPECT_NE(Here1, There);
+}
+
+//===----------------------------------------------------------------------===//
+// BumpArena
+//===----------------------------------------------------------------------===//
+
+struct Tracked {
+  std::vector<int> &Log;
+  int Id;
+  Tracked(std::vector<int> &Log, int Id) : Log(Log), Id(Id) {}
+  ~Tracked() { Log.push_back(Id); }
+};
+
+// Destructors run once each at teardown, newest first; trivially
+// destructible objects need no record.
+TEST(BumpArena, RunsDestructorsNewestFirst) {
+  std::vector<int> Log;
+  {
+    BumpArena A;
+    for (int I = 0; I != 1000; ++I) // Spans several slabs.
+      A.create<Tracked>(Log, I);
+    int *P = A.create<int>(7);
+    EXPECT_EQ(*P, 7);
+    EXPECT_TRUE(Log.empty());
+  }
+  ASSERT_EQ(Log.size(), 1000u);
+  for (int I = 0; I != 1000; ++I)
+    EXPECT_EQ(Log[I], 999 - I);
+}
+
+// Fixed-size slabs, accounted exactly: 1,000 nodes of 48 bytes plus
+// their 16-byte destructor records fill four 16 KiB slabs.
+TEST(BumpArena, SlabsAreFixedSizeAndAccounted) {
+  std::vector<int> Log;
+  BumpArena A;
+  EXPECT_EQ(A.bytesReserved(), 0u);
+  struct Node : Tracked {
+    using Tracked::Tracked;
+    char Payload[32];
+  };
+  static_assert(sizeof(Node) == 48);
+  Node *First = A.create<Node>(Log, 0);
+  EXPECT_EQ(A.bytesReserved(), BumpArena::SlabSize);
+  // Same slab, next bump: the second node's record follows the first.
+  EXPECT_EQ(reinterpret_cast<char *>(A.create<Node>(Log, 1)),
+            reinterpret_cast<char *>(First) + sizeof(Node) + 16);
+  for (int I = 2; I != 1000; ++I)
+    A.create<Node>(Log, I);
+  EXPECT_EQ(A.bytesUsed(), 1000u * 64);
+  EXPECT_EQ(A.bytesReserved(), 4 * BumpArena::SlabSize);
+  A.reset();
+  EXPECT_EQ(Log.size(), 1000u);
+  EXPECT_EQ(A.bytesReserved(), 0u);
+  EXPECT_EQ(A.bytesUsed(), 0u);
 }
 
 } // namespace
